@@ -22,7 +22,6 @@ from ..fedsim import (
     ModelEvaluator,
     RetrainingGame,
     model_eval_oracle,
-    round_oracle,
     run_federation,
 )
 from ..fedsim.mlp import MlpArch, ModelParams
@@ -43,6 +42,7 @@ from ..scoring import (
     fp,
     ioi,
     loo,
+    mr_shapley_rows,
     utilities_from_transcript,
 )
 from .scenario import (
@@ -125,30 +125,16 @@ def audited_round_utilities(transcript, evaluator):
     return utilities
 
 
-def _per_round_shapley(transcripts, evaluator):
-    """Exact Shapley per round game, each audited at 2^N evaluations."""
-    rows = []
-    for t in transcripts:
-        oracle = round_oracle(t, evaluator)
-        sv = shapley_exact(oracle)
-        if oracle.call_count != 2 ** t.n_clients:
-            raise ExperimentError(
-                f"round-game audit failed: {oracle.call_count} evaluations, "
-                f"expected {2 ** t.n_clients}"
-            )
-        rows.append(sv.scores)
-    return np.array(rows)
-
-
 def _cached_mr_rows(ctx, horizon):
     """Per-round Shapley rows up to horizon, computed once per context.
 
     Re-scoring the same trained federation at another eval round (the
     round-axis ablation) reuses the rows instead of paying 2^N per round
-    again.
+    again, and the weighting pipeline gets every round's row from one
+    call, so the round games run concurrently.
     """
     if horizon not in ctx.mr_cache:
-        ctx.mr_cache[horizon] = _per_round_shapley(
+        ctx.mr_cache[horizon] = mr_shapley_rows(
             ctx.transcripts[:horizon], ctx.evaluator
         )
     return ctx.mr_cache[horizon]
@@ -367,7 +353,7 @@ def _round_scores(method, utilities, t, ctx):
     if method == "COS":
         return cos_score(t).scores
     if method == "MR-SV":
-        return _per_round_shapley([t], ctx.evaluator)[0]
+        return _cached_mr_rows(ctx, len(ctx.transcripts))[t.round - 1]
     raise ExperimentError(
         f"method {method!r} cannot drive weighted aggregation"
     )
@@ -542,9 +528,7 @@ def misbehavior(scenario, block=None):
             elif method == "COS":
                 vec = cos_accumulated(ctx.transcripts[:eval_round]).scores
             elif method == "MR-SV":
-                vec = _per_round_shapley(
-                    ctx.transcripts[:eval_round], ctx.evaluator
-                ).mean(axis=0)
+                vec = _cached_mr_rows(ctx, eval_round).mean(axis=0)
             score_runs[method].append(vec)
             detected = int(np.argmin(vec)) == block.attacker
             per_repeat.append((

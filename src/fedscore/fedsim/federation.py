@@ -14,6 +14,7 @@ reuses exactly the per-client streams of the full run.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,12 +32,13 @@ from .data import (
 )
 from .mlp import (
     MlpArch,
+    ModelError,
     ModelParams,
     TrainingDiverged,
-    accuracy,
     init_params,
-    mean_loss,
     sgd_train,
+    stack_accuracy,
+    stack_mean_loss,
 )
 
 # Tags keeping the derived RNG streams of unrelated stages disjoint.
@@ -51,6 +53,9 @@ _SEED_TRAIN = 5
 AGGREGATION_TOL = 1e-9
 
 UTILITY_KINDS = ("accuracy", "neg_loss")
+
+# Coalition models per stacked evaluation when a round game is tabulated.
+_TABULATION_CHUNK = 4
 
 
 class FederationError(ValueError):
@@ -198,11 +203,16 @@ class ModelEvaluator:
         self._count = 0
 
     def __call__(self, model: ModelParams) -> float:
+        return float(self.evaluate_stack(model.values[None])[0])
+
+    def evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
+        """Utilities of the models in the rows of a (c, n_params) stack;
+        counts c evaluations."""
         with self._lock:
-            self._count += 1
+            self._count += len(stack)
         if self.utility_kind == "accuracy":
-            return accuracy(self.arch, model, self.test)
-        return -mean_loss(self.arch, model, self.test)
+            return stack_accuracy(self.arch, stack, self.test)
+        return -stack_mean_loss(self.arch, stack, self.test)
 
     @property
     def call_count(self) -> int:
@@ -222,18 +232,66 @@ def round_oracle(
     """The round's coalition game: v(S) = evaluator(m0 + sum_{i in S} U_i).
 
     Client i here means the i-th update in the transcript.  The empty
-    coalition evaluates the unmodified start model.
+    coalition evaluates the unmodified start model.  With a
+    :class:`ModelEvaluator`, tabulating the whole game evaluates the
+    coalition models in stacked chunks; every model and utility is
+    bit-identical to evaluating its coalition alone.
     """
-    deltas = [u.delta for u in transcript.updates]
+    deltas = [u.delta.values for u in transcript.updates]
     m0 = transcript.m0
 
     def value(coalition: Coalition) -> float:
         model = m0.values
         for i in coalition.members:
-            model = model + deltas[i].values
+            model = model + deltas[i]
+        _check_models([coalition.mask], model[None])
         return float(evaluator(ModelParams(model)))
 
-    return CoalitionOracle(transcript.n_clients, value)
+    chunks = None
+    if isinstance(evaluator, ModelEvaluator):
+        def chunks():
+            for masks, stack in _coalition_model_chunks(transcript):
+                yield masks, evaluator.evaluate_stack(stack)
+
+    return CoalitionOracle(transcript.n_clients, value, chunks)
+
+
+def _check_models(masks: Sequence[int], stack: np.ndarray) -> None:
+    """Refuse a non-finite coalition model, naming its coalition."""
+    finite = np.isfinite(stack).all(axis=1)
+    if not finite.all():
+        members = Coalition(masks[int(np.argmin(finite))]).members
+        raise ModelError(f"model of coalition {members} contains non-finite values")
+
+
+def _coalition_models(transcript: RoundTranscript):
+    """Yield (mask, model) for every coalition, depth first from the empty one.
+
+    model(S) = model(S - {max S}) + U_{max S}: the ascending left fold the
+    per-coalition game computes, so each model is bit-identical to it.
+    Only the models on the current path stay referenced.
+    """
+    deltas = [u.delta.values for u in transcript.updates]
+    n = len(deltas)
+    yield 0, transcript.m0.values
+    todo = [(0, transcript.m0.values, j) for j in reversed(range(n))]
+    while todo:
+        parent, base, j = todo.pop()
+        mask = parent | 1 << j
+        model = base + deltas[j]
+        yield mask, model
+        todo.extend((mask, model, k) for k in reversed(range(j + 1, n)))
+
+
+def _coalition_model_chunks(transcript: RoundTranscript):
+    """The coalition models in (masks, stack) chunks of _TABULATION_CHUNK,
+    each checked finite before it is evaluated."""
+    models = _coalition_models(transcript)
+    while chunk := list(itertools.islice(models, _TABULATION_CHUNK)):
+        masks = [mask for mask, _ in chunk]
+        stack = np.stack([model for _, model in chunk])
+        _check_models(masks, stack)
+        yield masks, stack
 
 
 def _noisy_shards(config: FederationConfig, shards: list[LabeledDataset]) -> list[LabeledDataset]:

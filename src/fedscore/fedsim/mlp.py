@@ -119,45 +119,83 @@ def init_params(arch: MlpArch, seed) -> ModelParams:
 
 def unpack(arch: MlpArch, params: ModelParams):
     """Split a flat vector into (W1, b1, W2, b2) views."""
-    if params.dim != arch.n_params:
+    return _split(arch, params.values)
+
+
+def _split(arch: MlpArch, flat: np.ndarray):
+    """(W1, b1, W2, b2) views of the parameters along the last axis of
+    ``flat``: one model as a vector, or a (c, n_params) stack of models."""
+    if flat.shape[-1] != arch.n_params:
         raise ModelError(
-            f"parameter vector of size {params.dim} does not fit "
+            f"parameter vector of size {flat.shape[-1]} does not fit "
             f"architecture needing {arch.n_params}"
         )
-    v = params.values
+    lead = flat.shape[:-1]
     d, h, k = arch.in_dim, arch.hidden, arch.n_classes
     i = 0
-    w1 = v[i : i + d * h].reshape(d, h)
+    w1 = flat[..., i : i + d * h].reshape(lead + (d, h))
     i += d * h
-    b1 = v[i : i + h]
+    b1 = flat[..., i : i + h]
     i += h
-    w2 = v[i : i + h * k].reshape(h, k)
+    w2 = flat[..., i : i + h * k].reshape(lead + (h, k))
     i += h * k
-    b2 = v[i : i + k]
+    b2 = flat[..., i : i + k]
     return w1, b1, w2, b2
 
 
+def _layers(features: np.ndarray, w1, b1, w2, b2):
+    """Hidden activations and logits; weights may carry a leading stack
+    axis, in which case ``np.matmul`` runs the same GEMM on every slice."""
+    # Bias and tanh in place, so a call allocates one (stack, samples,
+    # hidden) array, not three: arrays that large come back from the
+    # allocator as fresh pages, and faulting them in costs system time.
+    hidden = features @ w1
+    hidden += b1[..., None, :]
+    np.tanh(hidden, out=hidden)
+    return hidden, hidden @ w2 + b2[..., None, :]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Logits of every model in a (c, n_params) stack, shape (c, n, classes).
+
+    Every slice goes through exactly the float operations a lone model
+    does: one GEMM per layer, then elementwise bias and tanh.
+    """
+    return _layers(features, *_split(arch, stack))[1]
 
 
 def forward_logits(arch: MlpArch, params: ModelParams, features: np.ndarray) -> np.ndarray:
-    w1, b1, w2, b2 = unpack(arch, params)
-    hidden = np.tanh(features @ w1 + b1)
-    return hidden @ w2 + b2
+    return _forward_stack(arch, params.values[None], features)[0]
+
+
+def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> np.ndarray:
+    """Mean softmax cross-entropy of every model in a stack."""
+    logp = _log_softmax(_forward_stack(arch, stack, data.features))
+    # The gathered view is not contiguous, and a row mean over it sums in
+    # a different order than the mean over one model's 1-D gather.
+    picked = np.ascontiguousarray(logp[:, np.arange(data.n_samples), data.labels])
+    return -picked.mean(axis=1)
+
+
+def stack_accuracy(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> np.ndarray:
+    """Accuracy of every model in a stack (ties toward the lower class)."""
+    logits = _forward_stack(arch, stack, data.features)
+    return np.mean(np.argmax(logits, axis=-1) == data.labels, axis=1)
 
 
 def mean_loss(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float:
     """Mean softmax cross-entropy over the dataset."""
-    logp = _log_softmax(forward_logits(arch, params, data.features))
-    return float(-logp[np.arange(data.n_samples), data.labels].mean())
+    return float(stack_mean_loss(arch, params.values[None], data)[0])
 
 
 def accuracy(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float:
     """Fraction of correct argmax predictions (ties toward the lower class)."""
-    logits = forward_logits(arch, params, data.features)
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
+    return float(stack_accuracy(arch, params.values[None], data)[0])
 
 
 def loss_and_grad(
@@ -166,9 +204,7 @@ def loss_and_grad(
     """Mean cross-entropy on a batch and its gradient as one flat vector."""
     w1, b1, w2, b2 = unpack(arch, params)
     n = features.shape[0]
-    z1 = features @ w1 + b1
-    hidden = np.tanh(z1)
-    logits = hidden @ w2 + b2
+    hidden, logits = _layers(features, w1, b1, w2, b2)
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(n), labels].mean())
 

@@ -91,7 +91,7 @@ class Coalition:
 class CoalitionOracle:
     """Wraps a coalition utility function and audits every evaluation.
 
-    ``call_count`` goes up by exactly one per :meth:`evaluate` call and the
+    ``call_count`` goes up by exactly one per evaluated coalition and the
     mask of every evaluated coalition lands in the audit log, so a test can
     assert both how many utility evaluations a method consumed and which
     coalitions it was allowed to see.  Thread safe: the retraining game
@@ -100,16 +100,30 @@ class CoalitionOracle:
     Args:
         n_clients: size of the player set; coalitions must stay within it.
         fn: the utility function, called with a :class:`Coalition`.
+        chunks: optional batch path for :meth:`tabulate`; called with no
+            arguments, it yields (masks, utilities) pairs that together
+            cover every coalition exactly once.
     """
 
-    def __init__(self, n_clients: int, fn: Callable[[Coalition], float]):
+    def __init__(
+        self,
+        n_clients: int,
+        fn: Callable[[Coalition], float],
+        chunks: Callable[[], Iterable[tuple[Sequence[int], np.ndarray]]] | None = None,
+    ):
         if n_clients < 1:
             raise GameError(f"need at least one client, got {n_clients}")
         self.n_clients = int(n_clients)
         self._fn = fn
+        self._chunks = chunks
         self._lock = threading.Lock()
         self._count = 0
         self._audit: list[int] = []
+
+    def _record(self, masks: Sequence[int]) -> None:
+        with self._lock:
+            self._count += len(masks)
+            self._audit.extend(masks)
 
     def evaluate(self, coalition: Coalition) -> float:
         if coalition.mask >> self.n_clients:
@@ -117,15 +131,25 @@ class CoalitionOracle:
                 f"coalition {coalition.members} has members outside "
                 f"0..{self.n_clients - 1}"
             )
-        with self._lock:
-            self._count += 1
-            self._audit.append(coalition.mask)
-        value = float(self._fn(coalition))
-        if not math.isfinite(value):
+        self._record([coalition.mask])
+        return _finite_utility(coalition.mask, self._fn(coalition))
+
+    def tabulate(self) -> np.ndarray:
+        """Every coalition's utility, indexed by mask, each evaluated and
+        audited exactly once."""
+        n = self.n_clients
+        if n > MAX_ENUM_CLIENTS:
             raise GameError(
-                f"utility of coalition {coalition.members} is not finite: {value!r}"
+                f"exact enumeration capped at {MAX_ENUM_CLIENTS} clients, got {n}"
             )
-        return value
+        if self._chunks is None:
+            return np.array([self.evaluate(Coalition(mask)) for mask in range(2**n)])
+        values = np.empty(2**n)
+        for masks, chunk in self._chunks():
+            self._record(masks)
+            for mask, value in zip(masks, chunk):
+                values[mask] = _finite_utility(mask, value)
+        return values
 
     @property
     def call_count(self) -> int:
@@ -137,6 +161,15 @@ class CoalitionOracle:
         """Masks of all evaluated coalitions, in call order."""
         with self._lock:
             return tuple(self._audit)
+
+
+def _finite_utility(mask: int, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise GameError(
+            f"utility of coalition {Coalition(mask).members} is not finite: {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -247,19 +280,6 @@ class ScoreVector:
         return self.n_clients
 
 
-def _tabulate(oracle: CoalitionOracle) -> np.ndarray:
-    """Evaluate every coalition exactly once, in mask order."""
-    n = oracle.n_clients
-    if n > MAX_ENUM_CLIENTS:
-        raise GameError(
-            f"exact enumeration capped at {MAX_ENUM_CLIENTS} clients, got {n}"
-        )
-    values = np.empty(2**n)
-    for mask in range(2**n):
-        values[mask] = oracle.evaluate(Coalition(mask))
-    return values
-
-
 def _subset_sizes(n: int) -> np.ndarray:
     """Population count of every mask 0..2^n-1."""
     idx = np.arange(2**n, dtype=np.uint32)
@@ -287,7 +307,7 @@ def shapley_exact(oracle: CoalitionOracle) -> ScoreVector:
     subset S not containing it, weighted by 1 / (N * C(N-1, |S|)).  The
     result distributes v(grand) - v(empty) across clients.
     """
-    values = _tabulate(oracle)
+    values = oracle.tabulate()
     n = oracle.n_clients
     sizes = _subset_sizes(n)
     weights = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
@@ -307,7 +327,7 @@ def banzhaf_raw(oracle: CoalitionOracle) -> np.ndarray:
     index does not satisfy efficiency and is only used as a comparison
     diagnostic.
     """
-    values = _tabulate(oracle)
+    values = oracle.tabulate()
     n = oracle.n_clients
     idx = np.arange(2**n, dtype=np.int64)
     weight = 0.5 ** (n - 1)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -299,6 +301,43 @@ def utilities_from_transcript(
     return RoundUtilities(v_empty, v_grand, v_with, v_without)
 
 
+def _round_shapley(transcript: RoundTranscript, evaluator: Callable) -> np.ndarray:
+    """Exact Shapley of one round game, audited at 2^N evaluations."""
+    oracle = round_oracle(transcript, evaluator)
+    scores = shapley_exact(oracle).scores
+    expect = 2**transcript.n_clients
+    if oracle.call_count != expect:
+        raise ScoringError(
+            f"round-game audit failed: {oracle.call_count} evaluations, "
+            f"expected {expect}"
+        )
+    return scores
+
+
+def mr_shapley_rows(
+    transcripts: Sequence[RoundTranscript], evaluator: Callable
+) -> np.ndarray:
+    """Exact Shapley of every round game, one row per round in round order.
+
+    The round games are independent, so they run on a thread pool bounded
+    by the CPU count; the stacked model evaluations release the GIL.
+    """
+    transcripts = list(transcripts)
+    if not transcripts:
+        raise ScoringError("no transcripts to score")
+    n = transcripts[0].n_clients
+    for t in transcripts:
+        if t.n_clients != n:
+            raise ScoringError(
+                f"round {t.round} has {t.n_clients} clients, expected {n}"
+            )
+    workers = min(len(transcripts), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(
+            lambda t: _round_shapley(t, evaluator), transcripts
+        )))
+
+
 def mr_shapley(
     transcripts: Sequence[RoundTranscript],
     evaluator: Callable,
@@ -321,14 +360,7 @@ def mr_shapley(
             f"multi-round Shapley enumerates 2^N coalitions per round and is "
             f"capped at {MR_SV_MAX_CLIENTS} clients, got {n}"
         )
-    per_round = []
-    for t in transcripts:
-        if t.n_clients != n:
-            raise ScoringError(
-                f"round {t.round} has {t.n_clients} clients, expected {n}"
-            )
-        per_round.append(shapley_exact(round_oracle(t, evaluator)).scores)
-    stacked = np.vstack(per_round)
+    stacked = mr_shapley_rows(transcripts, evaluator)
     scores = stacked.mean(axis=0) if combine == "mean" else stacked.sum(axis=0)
     return ScoreVector("MR-SV", scores, round=transcripts[-1].round)
 

@@ -39,6 +39,8 @@ from fedscore.fedsim import save_transcripts
 
 from helpers import additive_game
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 TINY_SCENARIO = """\
 [scenario]
 name = tiny
@@ -394,11 +396,16 @@ class TestWriteTable:
 
 class TestCli:
     def _run(self, *args, env=None):
+        # Run the CLI as a module so the tests need no installed script.
         full_env = dict(os.environ)
+        full_env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, full_env.get("PYTHONPATH")) if p
+        )
         if env:
             full_env.update(env)
         return subprocess.run(
-            ["fedscore", *args], capture_output=True, text=True, env=full_env,
+            [sys.executable, "-m", "fedscore", *args],
+            capture_output=True, text=True, env=full_env,
         )
 
     def test_game_shapley(self, tmp_path):
