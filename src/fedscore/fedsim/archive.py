@@ -172,11 +172,3 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
         transcripts.append(transcript)
     return config, transcripts
 
-
-def dataset_to_csv(data, path) -> None:
-    """Export a dataset as CSV: feature columns x_0..x_{d-1}, then label."""
-    header = ",".join([f"x_{j}" for j in range(data.dim)] + ["label"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(data.features, data.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")

@@ -11,25 +11,23 @@ robust EE variant that swaps the mean over other clients for a median.
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .games import ScoreVector
+from .games import GameError, ScoreVector
 from .scoring import (
     RoundUtilities,
+    ScoringError,
+    _ee_masses,
     _efficient_rescale,
+    _fp_masses,
     ee,
-    ee_numerators,
-    fp,
-    loo,
 )
 
 _STRATEGY_KINDS = ("honest", "additive_bias", "scale", "deflate_to")
-
-_SWEEP_SCORERS = ("LOO", "FP", "EE")
 
 
 class ProtocolError(ValueError):
@@ -100,6 +98,14 @@ def reports_from(utilities: RoundUtilities) -> list[MarginalReport]:
     ]
 
 
+def _check_target(strategy: MisreportStrategy, n_clients: int) -> None:
+    if strategy.target >= n_clients:
+        raise ProtocolError(
+            f"strategy targets client {strategy.target}, but there are only "
+            f"{n_clients} clients"
+        )
+
+
 def collect_reports(
     utilities: RoundUtilities, strategies: Sequence[MisreportStrategy] = ()
 ) -> RoundUtilities:
@@ -110,11 +116,7 @@ def collect_reports(
     """
     seen = set()
     for s in strategies:
-        if s.target >= utilities.n_clients:
-            raise ProtocolError(
-                f"strategy targets client {s.target}, but there are only "
-                f"{utilities.n_clients} clients"
-            )
+        _check_target(s, utilities.n_clients)
         if s.target in seen:
             raise ProtocolError(f"two strategies target client {s.target}")
         seen.add(s.target)
@@ -205,58 +207,96 @@ class SweepRow:
     numerator_delta: float
 
 
-def _unnormalized_mass(scorer: str, utilities: RoundUtilities, client: int) -> float:
-    if scorer == "LOO":
-        return float(utilities.v_grand - utilities.v_without[client])
-    if scorer == "FP":
-        loo_term = utilities.v_grand - utilities.v_without[client]
-        ioi_term = utilities.v_with[client] - utilities.v_empty
-        return float((loo_term + ioi_term) / 2.0)
-    return float(ee_numerators(utilities).m[client])
+def _loo_stack(v_grand, v_empty, v_with, v_without):
+    mass = v_grand - v_without
+    return mass, mass
 
 
-def _score(scorer: str, utilities: RoundUtilities) -> np.ndarray:
-    if scorer == "LOO":
-        return loo(utilities).scores
-    if scorer == "FP":
-        return fp(utilities).scores
-    return ee(utilities).scores
+def _rescaled_stack(candidates, first):
+    def scorer(v_grand, v_empty, v_with, v_without):
+        masses = candidates(v_grand, v_empty, v_with, v_without)
+        return _efficient_rescale(masses, v_grand)[0], masses[first]
+    return scorer
+
+
+# Each sweep scorer maps an (S, N) stack of report rows to its (S, N)
+# scores and the unnormalised mass behind them, with the same rules (and
+# bits) as loo, fp and ee applied to one row at a time.
+_SWEEP_SCORERS = {
+    "LOO": _loo_stack,
+    "FP": _rescaled_stack(_fp_masses, "alpha"),
+    "EE": _rescaled_stack(_ee_masses, "m"),
+}
 
 
 def manipulation_sweep(
     utilities: RoundUtilities,
     strategies: Sequence[MisreportStrategy],
-    scorers: Sequence[str] = _SWEEP_SCORERS,
+    scorers: Sequence[str] = tuple(_SWEEP_SCORERS),
 ) -> list[SweepRow]:
     """Apply each misreport in isolation and record, per scorer, how much
     the attacker's own score moved, the largest move of anyone else's
-    score, and the change in the attacker's unnormalised mass."""
+    score, and the change in the attacker's unnormalised mass.
+
+    Row 0 of one report stack holds the honest reports and row k+1 those
+    the server sees under strategy k alone; each scorer scores the whole
+    stack in one pass, bit for bit as if row by row.  When strategies
+    fail, the first failing one in input order decides what is raised.
+    """
     for scorer in scorers:
         if scorer not in _SWEEP_SCORERS:
             raise ProtocolError(
-                f"sweep scorer must be one of {_SWEEP_SCORERS}, got {scorer!r}"
+                f"sweep scorer must be one of {tuple(_SWEEP_SCORERS)}, "
+                f"got {scorer!r}"
             )
-    rows = []
+    strategies = list(strategies)
+    v_with = [utilities.v_with]
+    v_without = [utilities.v_without]
+    stop = None
     for strategy in strategies:
-        seen = collect_reports(utilities, [strategy])
-        i = strategy.target
-        for scorer in scorers:
-            honest = _score(scorer, utilities)
-            lied = _score(scorer, seen)
-            others = np.delete(np.abs(lied - honest), i)
-            rows.append(
-                SweepRow(
-                    scorer=scorer,
-                    attacker=i,
-                    strategy=strategy.describe(),
-                    own_delta=float(lied[i] - honest[i]),
-                    max_other_delta=float(others.max()) if others.size else 0.0,
-                    numerator_delta=float(
-                        _unnormalized_mass(scorer, seen, i)
-                        - _unnormalized_mass(scorer, utilities, i)
-                    ),
-                )
-            )
+        try:
+            _check_target(strategy, utilities.n_clients)
+            i = strategy.target
+            pair = strategy.apply(float(v_with[0][i]), float(v_without[0][i]))
+            if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+                raise ScoringError("utilities contain non-finite values")
+        except (ProtocolError, ScoringError) as exc:
+            stop = exc  # raised once every earlier strategy is scored
+            break
+        v_with.append(v_with[0].copy())
+        v_without.append(v_without[0].copy())
+        v_with[-1][i], v_without[-1][i] = pair
+    stack = (utilities.v_grand, utilities.v_empty, np.array(v_with), np.array(v_without))
+    strategies = strategies[: len(v_with) - 1]
+    lied = np.arange(len(strategies))
+    targets = np.array([s.target for s in strategies], dtype=np.intp)
+    scored = []
+    for scorer in scorers:
+        try:
+            scores, mass = _SWEEP_SCORERS[scorer](*stack)
+        except ScoringError as exc:  # EE with one client fails every row
+            scored.append(exc)
+            continue
+        moved = np.abs(scores[1:] - scores[0])
+        moved[lied, targets] = 0.0
+        scored.append((
+            np.all(np.isfinite(scores), axis=1).tolist(),
+            (scores[lied + 1, targets] - scores[0, targets]).tolist(),
+            moved.max(axis=1).tolist(),
+            (mass[lied + 1, targets] - mass[0, targets]).tolist(),
+        ))
+    rows = []
+    for k, strategy in enumerate(strategies):
+        described = strategy.describe()
+        for scorer, result in zip(scorers, scored):
+            if isinstance(result, Exception):
+                raise result
+            finite, own, other, numer = result
+            if not (finite[0] and finite[k + 1]):
+                raise GameError("scores contain non-finite values")
+            rows.append(SweepRow(scorer, strategy.target, described, own[k], other[k], numer[k]))
+    if stop is not None:
+        raise stop
     return rows
 
 
@@ -283,16 +323,11 @@ def robust_ee(utilities: RoundUtilities, aggregator: str = "mean") -> ScoreVecto
     beta_terms = utilities.v_grand - utilities.v_with
     gamma_terms = utilities.v_without - utilities.v_empty
     others = [np.arange(n) != i for i in range(n)]
-    beta = np.array([np.median(beta_terms[others[i]]) for i in range(n)]) / (n - 1)
-    gamma = np.array([np.median(gamma_terms[others[i]]) for i in range(n)]) / (n - 1)
-    m = (beta + gamma) / 2.0
-    vec, _ = _efficient_rescale(
-        [("m", m), ("beta", beta), ("gamma", gamma)],
-        utilities.v_grand,
-        n,
-        "EE-MED",
-    )
-    return vec
+    # one-row stacks, as the efficiency rescale takes them
+    beta = np.array([[np.median(beta_terms[o]) for o in others]]) / (n - 1)
+    gamma = np.array([[np.median(gamma_terms[o]) for o in others]]) / (n - 1)
+    masses = {"m": (beta + gamma) / 2.0, "beta": beta, "gamma": gamma}
+    return ScoreVector("EE-MED", _efficient_rescale(masses, utilities.v_grand)[0][0])
 
 
 def influence_to_csv(matrix: InfluenceMatrix, path, normalized: bool = True) -> None:
@@ -304,43 +339,3 @@ def influence_to_csv(matrix: InfluenceMatrix, path, normalized: bool = True) -> 
         writer.writerow(["source"] + [f"to_client_{j}" for j in range(n)])
         for i in range(n):
             writer.writerow([f"client_{i}"] + [repr(float(v)) for v in table[i]])
-
-
-def influence_to_json(matrix: InfluenceMatrix, path) -> None:
-    payload = {
-        "entries": [[float(v) for v in row] for row in matrix.entries],
-        "normalized": [[float(v) for v in row] for row in matrix.normalized],
-        "flagged_columns": list(matrix.flagged_columns),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def sweep_to_csv(rows: Sequence[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scorer", "attacker", "strategy", "own_delta", "max_other_delta",
-             "numerator_delta"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.scorer, r.attacker, r.strategy, repr(r.own_delta),
-                 repr(r.max_other_delta), repr(r.numerator_delta)]
-            )
-
-
-def sweep_to_json(rows: Sequence[SweepRow], path) -> None:
-    payload = [
-        {
-            "scorer": r.scorer,
-            "attacker": r.attacker,
-            "strategy": r.strategy,
-            "own_delta": r.own_delta,
-            "max_other_delta": r.max_other_delta,
-            "numerator_delta": r.numerator_delta,
-        }
-        for r in rows
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)

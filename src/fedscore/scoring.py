@@ -157,28 +157,69 @@ def ioi(utilities: RoundUtilities) -> ScoreVector:
     return ScoreVector("IOI", utilities.v_with - utilities.v_empty)
 
 
+def _fp_masses(v_grand, v_empty, v_with, v_without) -> dict:
+    """FP's candidate masses in fallback order, elementwise in the probes."""
+    loo_terms = v_grand - v_without
+    ioi_terms = v_with - v_empty
+    return {"alpha": (loo_terms + ioi_terms) / 2.0, "loo": loo_terms, "ioi": ioi_terms}
+
+
+def _excluded_sums(terms: np.ndarray) -> np.ndarray:
+    """Entry (s, i) is the sum of terms[s, j] over j != i, in increasing j.
+
+    Deliberately not computed as sum(terms[s]) - terms[s, i]: that
+    round-trip is only equal in exact arithmetic, and the
+    manipulation-resistance guarantee is that client i's own term never
+    enters its score at all, bit for bit.  Each sum is one row of a 2-D
+    C-contiguous array, which numpy reduces with the same pairwise loop as
+    a 1-D sum of that row; a 3-D reduction changes low bits.
+    """
+    s, n = terms.shape
+    k = np.arange(n - 1)
+    others = k + (k >= np.arange(n)[:, None])
+    return terms[:, others].reshape(s * n, n - 1).sum(axis=1).reshape(s, n)
+
+
+def _ee_masses(v_grand, v_empty, v_with, v_without) -> dict:
+    """EE's candidate masses in fallback order for an (S, N) stack of
+    report rows, each from the other clients' probes only."""
+    n = v_with.shape[1]
+    if n < 2:
+        raise ScoringError("EE needs at least two clients")
+    denom = float((n - 1) ** 2)
+    beta = _excluded_sums(v_grand - v_with) / denom
+    gamma = _excluded_sums(v_without - v_empty) / denom
+    return {"m": (beta + gamma) / 2.0, "beta": beta, "gamma": gamma}
+
+
+def _efficient_rescale(masses: dict, v_grand: float) -> tuple[np.ndarray, list[str]]:
+    """Rescale each row's first candidate (S, N) mass that does not sum to
+    ~zero so the row sums to v_grand, splitting v_grand uniformly where all
+    collapse.  Returns the scores and the name of the mass each row used."""
+    names = [*masses, "uniform"]
+    rows, n = masses[names[0]].shape
+    scores = np.empty((rows, n))
+    used = np.full(rows, len(masses))
+    todo = np.ones(rows, dtype=bool)
+    for k, mass in enumerate(masses.values()):
+        total = mass.sum(axis=1)
+        take = todo & (np.abs(total) > ZERO_SUM_TOL)
+        scores[take] = mass[take] * (v_grand / total[take])[:, None]
+        used[take] = k
+        todo &= ~take
+    scores[todo] = v_grand / n
+    return scores, [names[k] for k in used]
+
+
+def _stack_of_one(utilities: RoundUtilities) -> tuple:
+    u = utilities
+    return u.v_grand, u.v_empty, u.v_with[None], u.v_without[None]
+
+
 def fp_alpha(utilities: RoundUtilities) -> FpAlpha:
     """The two observable marginals per client and their mean."""
-    loo_terms = utilities.v_grand - utilities.v_without
-    ioi_terms = utilities.v_with - utilities.v_empty
-    return FpAlpha(
-        alpha=(loo_terms + ioi_terms) / 2.0,
-        loo_terms=loo_terms,
-        ioi_terms=ioi_terms,
-    )
-
-
-def _efficient_rescale(
-    candidates: Sequence[tuple[str, np.ndarray]], v_grand: float, n: int,
-    method: str,
-) -> tuple[ScoreVector, str]:
-    """Rescale the first candidate whose mass does not sum to ~zero so the
-    scores sum to v_grand; fall back to a uniform split if all collapse."""
-    for name, mass in candidates:
-        total = float(np.sum(mass))
-        if abs(total) > ZERO_SUM_TOL:
-            return ScoreVector(method, mass * (v_grand / total)), name
-    return ScoreVector(method, np.full(n, v_grand / n)), "uniform"
+    masses = _fp_masses(*_stack_of_one(utilities))
+    return FpAlpha(masses["alpha"][0], masses["loo"][0], masses["ioi"][0])
 
 
 def fp(utilities: RoundUtilities) -> ScoreVector:
@@ -194,39 +235,15 @@ def fp(utilities: RoundUtilities) -> ScoreVector:
 def fp_scored(utilities: RoundUtilities) -> tuple[ScoreVector, str]:
     """Like :func:`fp` but also names the mass used ("alpha", "loo",
     "ioi", or "uniform")."""
-    parts = fp_alpha(utilities)
-    return _efficient_rescale(
-        [("alpha", parts.alpha), ("loo", parts.loo_terms), ("ioi", parts.ioi_terms)],
-        utilities.v_grand,
-        utilities.n_clients,
-        "FP",
-    )
-
-
-def _sum_excluding(terms: np.ndarray, i: int) -> float:
-    """Sum of terms[j] over j != i, in increasing j.
-
-    Deliberately not computed as sum(terms) - terms[i]: that round-trip is
-    only equal in exact arithmetic, and the manipulation-resistance
-    guarantee is that client i's own term never enters its score at all,
-    bit for bit.
-    """
-    mask = np.ones(len(terms), dtype=bool)
-    mask[i] = False
-    return float(np.sum(terms[mask]))
+    masses = _fp_masses(*_stack_of_one(utilities))
+    scores, used = _efficient_rescale(masses, utilities.v_grand)
+    return ScoreVector("FP", scores[0]), used[0]
 
 
 def ee_numerators(utilities: RoundUtilities) -> EeNumerators:
     """Per-client EE mass from the other clients' probes only."""
-    n = utilities.n_clients
-    if n < 2:
-        raise ScoringError("EE needs at least two clients")
-    denom = float((n - 1) ** 2)
-    beta_terms = utilities.v_grand - utilities.v_with
-    gamma_terms = utilities.v_without - utilities.v_empty
-    beta = np.array([_sum_excluding(beta_terms, i) / denom for i in range(n)])
-    gamma = np.array([_sum_excluding(gamma_terms, i) / denom for i in range(n)])
-    return EeNumerators(beta=beta, gamma=gamma)
+    masses = _ee_masses(*_stack_of_one(utilities))
+    return EeNumerators(beta=masses["beta"][0], gamma=masses["gamma"][0])
 
 
 def ee(utilities: RoundUtilities) -> ScoreVector:
@@ -241,13 +258,9 @@ def ee(utilities: RoundUtilities) -> ScoreVector:
 def ee_scored(utilities: RoundUtilities) -> tuple[ScoreVector, str]:
     """Like :func:`ee` but also names the mass used ("m", "beta", "gamma",
     or "uniform")."""
-    nums = ee_numerators(utilities)
-    return _efficient_rescale(
-        [("m", nums.m), ("beta", nums.beta), ("gamma", nums.gamma)],
-        utilities.v_grand,
-        utilities.n_clients,
-        "EE",
-    )
+    masses = _ee_masses(*_stack_of_one(utilities))
+    scores, used = _efficient_rescale(masses, utilities.v_grand)
+    return ScoreVector("EE", scores[0]), used[0]
 
 
 def cos_score(transcript: RoundTranscript) -> ScoreVector:
@@ -363,11 +376,6 @@ def mr_shapley(
     stacked = mr_shapley_rows(transcripts, evaluator)
     scores = stacked.mean(axis=0) if combine == "mean" else stacked.sum(axis=0)
     return ScoreVector("MR-SV", scores, round=transcripts[-1].round)
-
-
-def shapley_from_utilities_game(game: TableGame) -> ScoreVector:
-    """Exact Shapley of an explicit game (convenience wrapper)."""
-    return shapley_exact(game.oracle())
 
 
 # ---------------------------------------------------------------------------

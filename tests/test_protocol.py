@@ -6,7 +6,6 @@ broken out by which client's reports supplied the mass.
 """
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from fedscore import (
     robust_ee,
     RoundUtilities,
 )
-from fedscore.protocol import influence_to_csv, influence_to_json, sweep_to_csv, sweep_to_json
+from fedscore.protocol import influence_to_csv
 
 from helpers import worked_game
 from test_scoring import random_utilities
@@ -178,20 +177,6 @@ class TestManipulationSweep:
         with pytest.raises(ProtocolError):
             manipulation_sweep(u, [], scorers=("SV",))
 
-    def test_serialisation_roundtrip(self, tmp_path):
-        u = game_round_utilities(worked_game())
-        rows = manipulation_sweep(u, [MisreportStrategy("scale", 0, 2.0)])
-        csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
-        sweep_to_csv(rows, csv_path)
-        sweep_to_json(rows, json_path)
-        with open(csv_path, newline="") as fh:
-            got = list(csv.DictReader(fh))
-        assert len(got) == len(rows)
-        assert got[0]["scorer"] == rows[0].scorer
-        assert float(got[0]["own_delta"]) == rows[0].own_delta
-        payload = json.loads(json_path.read_text())
-        assert payload[0]["strategy"] == "scale(2.0)"
-
 
 class TestRobustEe:
     def test_mean_is_plain_ee(self):
@@ -246,13 +231,3 @@ class TestInfluenceSerialisation:
         assert rows[0] == ["source", "to_client_0", "to_client_1", "to_client_2"]
         assert len(rows) == 4
         assert float(rows[1][1]) == 0.0  # the diagonal
-
-    def test_json_payload(self, tmp_path):
-        u = game_round_utilities(worked_game())
-        mat = influence_matrix(u)
-        path = tmp_path / "influence.json"
-        influence_to_json(mat, path)
-        payload = json.loads(path.read_text())
-        assert payload["flagged_columns"] == []
-        got = np.array(payload["normalized"])
-        np.testing.assert_allclose(got, mat.normalized, atol=1e-15)
