@@ -13,7 +13,6 @@ overridden per invocation with --seed.
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -21,31 +20,12 @@ import sys
 from ..fedsim import load_transcripts, model_eval_oracle, test_set_for
 from ..games import load_table_game, shapley_exact
 from ..protocol import influence_matrix
-from ..scoring import (
-    cos_accumulated,
-    ee,
-    fp,
-    loo,
-    mr_shapley,
-    utilities_from_transcript,
-)
+from ..scoring import scores_to_csv
 from .bundle import run_scenario, verify_bundle
+from .runs import RepeatContext, method_scores, round_utilities
 
-_METHOD_FLAGS = ("loo", "fp", "ee", "cos", "mrsv")
-
-
-def _emit_scores(vector, out):
-    """One ScoreVector as method,round,client_0.. CSV."""
-    fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        n = len(vector.scores)
-        writer.writerow(["method", "round"] + [f"client_{i}" for i in range(n)])
-        rnd = "" if vector.round is None else vector.round
-        writer.writerow([vector.method, rnd] + [repr(float(s)) for s in vector.scores])
-    finally:
-        if out:
-            fh.close()
+# `fedscore score --method` flag -> method label
+_METHODS = {"loo": "LOO", "fp": "FP", "ee": "EE", "cos": "COS", "mrsv": "MR-SV"}
 
 
 def _cmd_run(args):
@@ -63,46 +43,38 @@ def _cmd_run(args):
 
 def _cmd_game_shapley(args):
     game = load_table_game(args.table)
-    vector = shapley_exact(game.oracle())
-    _emit_scores(vector, args.out)
+    scores_to_csv([shapley_exact(game.oracle())], args.out or sys.stdout)
     return 0
 
 
-def _load_archive(path):
-    config, transcripts = load_transcripts(path)
-    evaluator = model_eval_oracle(test_set_for(config), config.utility_kind)
-    return config, transcripts, evaluator
-
-
-def _pick_round(args, transcripts):
+def _load_archive(args):
+    """The archive as a repeat context, and the requested round."""
+    config, transcripts = load_transcripts(args.archive)
+    ctx = RepeatContext(
+        repeat=0,
+        seed=config.seed,
+        config=config,
+        transcripts=tuple(transcripts),
+        evaluator=model_eval_oracle(test_set_for(config), config.utility_kind),
+    )
     rnd = args.round if args.round is not None else len(transcripts)
     if not (1 <= rnd <= len(transcripts)):
         raise SystemExit(
             f"fedscore: round {rnd} outside 1..{len(transcripts)}"
         )
-    return rnd
+    return ctx, rnd
 
 
 def _cmd_score(args):
-    _, transcripts, evaluator = _load_archive(args.archive)
-    rnd = _pick_round(args, transcripts)
-    if args.method == "cos":
-        vector = cos_accumulated(transcripts[:rnd])
-    elif args.method == "mrsv":
-        vector = mr_shapley(transcripts[:rnd], evaluator)
-    else:
-        fn = {"loo": loo, "fp": fp, "ee": ee}[args.method]
-        vector = fn(utilities_from_transcript(transcripts[rnd - 1], evaluator))
-        vector = dataclasses.replace(vector, round=rnd)
-    _emit_scores(vector, args.out)
+    ctx, rnd = _load_archive(args)
+    vector = method_scores(_METHODS[args.method], ctx, rnd, rnd)
+    scores_to_csv([vector], args.out or sys.stdout)
     return 0
 
 
 def _cmd_influence(args):
-    _, transcripts, evaluator = _load_archive(args.archive)
-    rnd = _pick_round(args, transcripts)
-    utilities = utilities_from_transcript(transcripts[rnd - 1], evaluator)
-    matrix = influence_matrix(utilities)
+    ctx, rnd = _load_archive(args)
+    matrix = influence_matrix(round_utilities(ctx, rnd))
     fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(fh)
@@ -175,7 +147,7 @@ def build_parser():
 
     p_score = sub.add_parser("score", help="score a transcript archive")
     p_score.add_argument("archive", help="transcript archive directory")
-    p_score.add_argument("--method", required=True, choices=_METHOD_FLAGS)
+    p_score.add_argument("--method", required=True, choices=tuple(_METHODS))
     p_score.add_argument("--round", type=int, default=None,
                          help="evaluation round (default: last)")
     p_score.add_argument("--out", default=None)

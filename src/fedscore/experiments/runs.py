@@ -13,7 +13,6 @@ writer.  Heavier invariants are enforced inline on every run:
 """
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,12 @@ from ..fedsim import (
     run_federation,
 )
 from ..fedsim.mlp import MlpArch, ModelParams
-from ..games import shapley_exact
+from ..games import ScoreVector, shapley_exact
 from ..metrics import (
     detection_rate,
-    kendall,
     l2_distance,
     normalize_scores,
-    pearson,
-    spearman,
+    rank_correlation,
 )
 from ..protocol import MisreportStrategy, influence_matrix, manipulation_sweep
 from ..scoring import (
@@ -46,6 +43,7 @@ from ..scoring import (
     utilities_from_transcript,
 )
 from .scenario import (
+    REFERENCE_METHODS,
     InfluenceBlock,
     MisbehaviorBlock,
     WeightedBlock,
@@ -53,8 +51,6 @@ from .scenario import (
 )
 
 METRIC_NAMES = ("l2", "spearman", "kendall", "pearson")
-TRUE_SV_MAX_CLIENTS = 9
-_SINGLE_ROUND = ("LOO", "IOI", "FP", "EE")
 
 
 class ExperimentError(RuntimeError):
@@ -75,40 +71,35 @@ def derive_seeds(master_seed, repeats):
 
 @dataclass(frozen=True)
 class RepeatContext:
-    """One repeat's training artifacts, shared by the scoring passes."""
+    """One repeat's training artifacts, shared by the scoring passes.
+
+    cache holds what scoring derives from them (round utilities, MR-SV
+    rows, true SV), so every pass over the same context pays for each once.
+    """
 
     repeat: int
     seed: int
     config: object
     transcripts: tuple
     evaluator: ModelEvaluator
-    mr_cache: dict = dataclasses.field(default_factory=dict, compare=False)
-
-
-def _run_one_repeat(scenario, repeat, seed):
-    cfg = dataclasses.replace(scenario.federation, seed=int(seed))
-    transcripts, test = run_federation(cfg)
-    evaluator = model_eval_oracle(test, cfg.utility_kind)
-    return RepeatContext(
-        repeat=repeat,
-        seed=int(seed),
-        config=cfg,
-        transcripts=tuple(transcripts),
-        evaluator=evaluator,
-    )
+    cache: dict = dataclasses.field(default_factory=dict, compare=False)
 
 
 def run_repeats(scenario):
-    """All repeats' federations, trained concurrently, in repeat order."""
+    """All repeats' federations, trained one after another in repeat order."""
     seeds = derive_seeds(scenario.master_seed, scenario.repeats)
-    if scenario.repeats == 1:
-        return [_run_one_repeat(scenario, 0, seeds[0])]
-    with ThreadPoolExecutor(max_workers=min(scenario.repeats, 4)) as pool:
-        futures = [
-            pool.submit(_run_one_repeat, scenario, r, s)
-            for r, s in enumerate(seeds)
-        ]
-        return [f.result() for f in futures]
+    contexts = []
+    for repeat, seed in enumerate(seeds):
+        cfg = dataclasses.replace(scenario.federation, seed=int(seed))
+        transcripts, test = run_federation(cfg)
+        contexts.append(RepeatContext(
+            repeat=repeat,
+            seed=int(seed),
+            config=cfg,
+            transcripts=tuple(transcripts),
+            evaluator=model_eval_oracle(test, cfg.utility_kind),
+        ))
+    return contexts
 
 
 def audited_round_utilities(transcript, evaluator):
@@ -125,70 +116,71 @@ def audited_round_utilities(transcript, evaluator):
     return utilities
 
 
-def _cached_mr_rows(ctx, horizon):
-    """Per-round Shapley rows up to horizon, computed once per context.
+def _cached(ctx, key, compute):
+    if key not in ctx.cache:
+        ctx.cache[key] = compute()
+    return ctx.cache[key]
 
-    Re-scoring the same trained federation at another eval round (the
-    round-axis ablation) reuses the rows instead of paying 2^N per round
-    again, and the weighting pipeline gets every round's row from one
-    call, so the round games run concurrently.
+
+def round_utilities(ctx, rnd):
+    """Round rnd's audited 2N+2 utilities, extracted once per context."""
+    return _cached(ctx, ("utilities", rnd), lambda: audited_round_utilities(
+        ctx.transcripts[rnd - 1], ctx.evaluator
+    ))
+
+
+def _mr_rows(ctx, horizon):
+    """Per-round Shapley rows of rounds 1..horizon, computed once per
+    context; the round games of one call run concurrently."""
+    return _cached(ctx, ("MR-SV", horizon), lambda: mr_shapley_rows(
+        ctx.transcripts[:horizon], ctx.evaluator
+    ))
+
+
+def _true_shapley(ctx, horizon):
+    def compute():
+        game = RetrainingGame(dataclasses.replace(ctx.config, rounds=horizon))
+        return shapley_exact(game.oracle()).scores
+    return _cached(ctx, ("SV", horizon), compute)
+
+
+def _utility_rule(method):
+    """The rule scoring one round from its 2N+2 utilities, or None.
+
+    Built on every call, so each rule is looked up by its module-level
+    name at the time it runs.
     """
-    if horizon not in ctx.mr_cache:
-        ctx.mr_cache[horizon] = mr_shapley_rows(
-            ctx.transcripts[:horizon], ctx.evaluator
-        )
-    return ctx.mr_cache[horizon]
+    return {"LOO": loo, "IOI": ioi, "FP": fp, "EE": ee}.get(method)
 
 
-def _true_shapley(scenario, ctx, horizon):
-    n = scenario.federation.n_clients
-    if n > TRUE_SV_MAX_CLIENTS:
-        raise ExperimentError(
-            f"true-SV reference budget: needs n_clients <= "
-            f"{TRUE_SV_MAX_CLIENTS}, scenario has {n}"
-        )
-    cfg = dataclasses.replace(ctx.config, rounds=horizon)
-    game = RetrainingGame(cfg)
-    return shapley_exact(game.oracle()).scores
+def method_scores(method, ctx, eval_round, horizon):
+    """One repeat's ScoreVector for a method label.
+
+    LOO, IOI, FP and EE score round eval_round from its 2N+2 utilities;
+    COS sums and MR-SV averages the per-round scores of rounds
+    1..horizon; SV is the exact Shapley value of the horizon-round
+    retraining game.  Utilities, MR-SV rows and SV are computed at most
+    once per context.
+    """
+    rule = _utility_rule(method)
+    if rule is not None:
+        vector = rule(round_utilities(ctx, eval_round))
+        return dataclasses.replace(vector, round=eval_round)
+    if method == "COS":
+        return cos_accumulated(ctx.transcripts[:horizon])
+    if method == "MR-SV":
+        scores = _mr_rows(ctx, horizon).mean(axis=0)
+    elif method == "SV":
+        scores = _true_shapley(ctx, horizon)
+    else:
+        raise ExperimentError(f"unknown method {method!r}")
+    return ScoreVector(method, scores, round=horizon)
 
 
 def _horizon(scenario):
     if scenario.reference_rounds == "all":
         return scenario.federation.rounds
     return scenario.eval_round
-
-
-def _method_vectors(scenario, ctx, mr_rows, horizon):
-    """Score vectors for every requested method, sharing one utilities
-    extraction across the single-round scorers."""
-    vectors = {}
-    utilities = None
-    if any(m in _SINGLE_ROUND for m in scenario.methods):
-        utilities = audited_round_utilities(
-            ctx.transcripts[scenario.eval_round - 1], ctx.evaluator
-        )
-    for method in scenario.methods:
-        if method == "LOO":
-            vectors[method] = loo(utilities).scores
-        elif method == "IOI":
-            vectors[method] = ioi(utilities).scores
-        elif method == "FP":
-            vectors[method] = fp(utilities).scores
-        elif method == "EE":
-            vectors[method] = ee(utilities).scores
-        elif method == "COS":
-            vectors[method] = cos_accumulated(ctx.transcripts[:horizon]).scores
-        elif method == "MR-SV":
-            vectors[method] = mr_rows.mean(axis=0)
-        elif method == "SV":
-            vectors[method] = _true_shapley(scenario, ctx, horizon)
-    return vectors
-
-
-def _reference_vector(scenario, ctx, mr_rows, horizon):
-    if scenario.reference == "MR-SV":
-        return mr_rows.mean(axis=0)
-    return _true_shapley(scenario, ctx, horizon)
 
 
 @dataclass(frozen=True)
@@ -233,22 +225,21 @@ def rank_fidelity(scenario, contexts=None):
     if contexts is None:
         contexts = run_repeats(scenario)
     horizon = _horizon(scenario)
-    need_mr = scenario.reference == "MR-SV" or "MR-SV" in scenario.methods
+    reference = REFERENCE_METHODS[scenario.reference]
     per_repeat = []
     for ctx in contexts:
-        mr_rows = _cached_mr_rows(ctx, horizon) if need_mr else None
-        ref = _reference_vector(scenario, ctx, mr_rows, horizon)
-        vectors = _method_vectors(scenario, ctx, mr_rows, horizon)
+        ref = method_scores(reference, ctx, scenario.eval_round, horizon).scores
         for method in scenario.methods:
-            vec = vectors[method]
+            vec = method_scores(method, ctx, scenario.eval_round, horizon).scores
+            corr = rank_correlation(vec, ref)
             per_repeat.append((
                 ctx.repeat,
                 ctx.seed,
                 method,
                 float(l2_distance(vec, ref)),
-                float(spearman(vec, ref)),
-                float(kendall(vec, ref)),
-                float(pearson(vec, ref)),
+                float(corr.spearman),
+                float(corr.kendall),
+                float(corr.pearson),
             ))
     return FidelityResult(
         scenario_name=scenario.name,
@@ -341,22 +332,18 @@ def _weighted_model(transcript, weights):
     return ModelParams(transcript.m0.values + np.sum(deltas, axis=0))
 
 
-def _round_scores(method, utilities, t, ctx):
-    """One method's raw scores for one round, for the weighting pipeline.
-
-    The single-round scorers share one utilities extraction per round;
-    the 2N+2 evaluations pay for all of them at once.
-    """
-    if method in _SINGLE_ROUND:
-        fn = {"LOO": loo, "IOI": ioi, "FP": fp, "EE": ee}[method]
-        return fn(utilities).scores
-    if method == "COS":
-        return cos_score(t).scores
-    if method == "MR-SV":
-        return _cached_mr_rows(ctx, len(ctx.transcripts))[t.round - 1]
-    raise ExperimentError(
-        f"method {method!r} cannot drive weighted aggregation"
-    )
+def _round_scores(method, ctx, t):
+    """Round t's own scores for the weighting pipeline: a single-round
+    rule on round t's utilities, COS of round t, or MR-SV row t of the
+    full-length rows."""
+    rule = _utility_rule(method)
+    if rule is not None:
+        return rule(round_utilities(ctx, t.round)).scores
+    per_round = {
+        "COS": lambda: cos_score(t).scores,
+        "MR-SV": lambda: _mr_rows(ctx, len(ctx.transcripts))[t.round - 1],
+    }
+    return per_round[method]()
 
 
 @dataclass(frozen=True)
@@ -413,11 +400,8 @@ def weighted_aggregation(scenario, block=None):
                     f"uniform weights failed to reproduce FedAvg in round "
                     f"{t.round}"
                 )
-            utilities = None
-            if any(m in _SINGLE_ROUND for m in methods):
-                utilities = audited_round_utilities(t, ctx.evaluator)
             for method in methods:
-                raw = _round_scores(method, utilities, t, ctx)
+                raw = _round_scores(method, ctx, t)
                 history[method].append(normalize_scores(raw).scores)
                 if block.weight_mode == "cumulative":
                     basis = np.mean(history[method], axis=0)
@@ -516,19 +500,8 @@ def misbehavior(scenario, block=None):
     score_runs = {m: [] for m in methods}
     per_repeat = []
     for ctx in contexts:
-        utilities = None
-        if any(m in _SINGLE_ROUND for m in methods):
-            utilities = audited_round_utilities(
-                ctx.transcripts[eval_round - 1], ctx.evaluator
-            )
         for method in methods:
-            if method in _SINGLE_ROUND:
-                fn = {"LOO": loo, "IOI": ioi, "FP": fp, "EE": ee}[method]
-                vec = fn(utilities).scores
-            elif method == "COS":
-                vec = cos_accumulated(ctx.transcripts[:eval_round]).scores
-            elif method == "MR-SV":
-                vec = _cached_mr_rows(ctx, eval_round).mean(axis=0)
+            vec = method_scores(method, ctx, eval_round, eval_round).scores
             score_runs[method].append(vec)
             detected = int(np.argmin(vec)) == block.attacker
             per_repeat.append((
@@ -592,10 +565,7 @@ def influence_summary(scenario, block=None, contexts=None):
     total = np.zeros((n, n))
     flagged = []
     for ctx in contexts:
-        utilities = audited_round_utilities(
-            ctx.transcripts[rnd - 1], ctx.evaluator
-        )
-        matrix = influence_matrix(utilities)
+        matrix = influence_matrix(round_utilities(ctx, rnd))
         total += matrix.normalized
         for col in matrix.flagged_columns:
             flagged.append((ctx.repeat, int(col), "degenerate column"))
@@ -649,9 +619,7 @@ def manipulation_summary(scenario, contexts=None):
     own = {}
     numer = {}
     for ctx in contexts:
-        utilities = audited_round_utilities(
-            ctx.transcripts[scenario.eval_round - 1], ctx.evaluator
-        )
+        utilities = round_utilities(ctx, scenario.eval_round)
         for row in manipulation_sweep(utilities, strategies):
             kind = row.strategy.split("(")[0]
             key = (row.scorer, kind)

@@ -40,12 +40,19 @@ import io
 from dataclasses import dataclass, field
 
 from ..fedsim import FederationConfig, SyntheticSpec, UTILITY_KINDS
+from ..scoring import MR_SV_MAX_CLIENTS
 
-REFERENCE_KINDS = ("MR-SV", "true-SV")
+# Each reference kind and the method label that computes it.
+REFERENCE_METHODS = {"MR-SV": "MR-SV", "true-SV": "SV"}
+REFERENCE_KINDS = tuple(REFERENCE_METHODS)
 REFERENCE_ROUNDS = ("eval", "all")
 ABLATION_AXES = ("round", "n_clients", "mu")
 WEIGHT_MODES = ("perround", "cumulative")
 SCORER_LABELS = ("SV", "MR-SV", "LOO", "IOI", "FP", "EE", "COS")
+
+# True SV retrains a federation for each of the 2^N coalitions.
+TRUE_SV_MAX_CLIENTS = 9
+_CLIENT_CAPS = {"MR-SV": MR_SV_MAX_CLIENTS, "SV": TRUE_SV_MAX_CLIENTS}
 
 
 class ScenarioError(ValueError):
@@ -130,6 +137,19 @@ class Scenario:
                 )
         if not self.methods:
             raise ScenarioError("scenario.methods: at least one method")
+        self._check_caps(self.federation.n_clients, "federation.n_clients")
+        if self.ablation is not None and self.ablation.axis == "n_clients":
+            for n in self.ablation.values:
+                self._check_caps(n, "ablation.values")
+
+    def _check_caps(self, n_clients, field):
+        labels = set(self.methods) | {REFERENCE_METHODS[self.reference]}
+        for label, cap in _CLIENT_CAPS.items():
+            if label in labels and n_clients > cap:
+                raise ScenarioError(
+                    f"{field}: {label} enumerates 2^N coalitions and is "
+                    f"capped at {cap} clients, got {n_clients}"
+                )
 
 
 _SCENARIO_KEYS = {

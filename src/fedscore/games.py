@@ -289,16 +289,6 @@ def _subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def marginal(oracle: CoalitionOracle, base: Coalition, client: int) -> float:
-    """Marginal contribution of ``client`` on top of ``base``.
-
-    ``base`` must not already contain the client.
-    """
-    if client in base:
-        raise GameError(f"client {client} already in base coalition {base.members}")
-    return oracle.evaluate(base.add(client)) - oracle.evaluate(base)
-
-
 def shapley_exact(oracle: CoalitionOracle) -> ScoreVector:
     """Exact Shapley scores by full enumeration.
 
@@ -318,24 +308,6 @@ def shapley_exact(oracle: CoalitionOracle) -> ScoreVector:
         gains = values[without | (1 << i)] - values[without]
         out[i] = float(np.sum(weights[sizes[without]] * gains))
     return ScoreVector("SV", out)
-
-
-def banzhaf_raw(oracle: CoalitionOracle) -> np.ndarray:
-    """Raw (non-efficient) Banzhaf indices: 2^-(N-1) times the marginal sum.
-
-    Returned as a plain array rather than a ScoreVector because the raw
-    index does not satisfy efficiency and is only used as a comparison
-    diagnostic.
-    """
-    values = oracle.tabulate()
-    n = oracle.n_clients
-    idx = np.arange(2**n, dtype=np.int64)
-    weight = 0.5 ** (n - 1)
-    out = np.empty(n)
-    for i in range(n):
-        without = idx[(idx >> i) & 1 == 0]
-        out[i] = weight * float(np.sum(values[without | (1 << i)] - values[without]))
-    return out
 
 
 def save_table_game(game: TableGame, path) -> None:

@@ -10,7 +10,6 @@ robust EE variant that swaps the mean over other clients for a median.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,21 +31,6 @@ _STRATEGY_KINDS = ("honest", "additive_bias", "scale", "deflate_to")
 
 class ProtocolError(ValueError):
     """Invalid report set or misreport description."""
-
-
-@dataclass(frozen=True)
-class MarginalReport:
-    """The two per-client utilities the server learns in a round."""
-
-    client: int
-    v_with: float
-    v_without: float
-
-    def __post_init__(self):
-        if self.client < 0:
-            raise ProtocolError(f"negative client index {self.client}")
-        if not (np.isfinite(self.v_with) and np.isfinite(self.v_without)):
-            raise ProtocolError(f"non-finite report from client {self.client}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +72,6 @@ class MisreportStrategy:
         if self.kind == "honest":
             return "honest"
         return f"{self.kind}({self.value!r})"
-
-
-def reports_from(utilities: RoundUtilities) -> list[MarginalReport]:
-    """The honest reports implied by a round's utilities."""
-    return [
-        MarginalReport(i, float(utilities.v_with[i]), float(utilities.v_without[i]))
-        for i in range(utilities.n_clients)
-    ]
 
 
 def _check_target(strategy: MisreportStrategy, n_clients: int) -> None:
@@ -328,14 +304,3 @@ def robust_ee(utilities: RoundUtilities, aggregator: str = "mean") -> ScoreVecto
     gamma = np.array([[np.median(gamma_terms[o]) for o in others]]) / (n - 1)
     masses = {"m": (beta + gamma) / 2.0, "beta": beta, "gamma": gamma}
     return ScoreVector("EE-MED", _efficient_rescale(masses, utilities.v_grand)[0][0])
-
-
-def influence_to_csv(matrix: InfluenceMatrix, path, normalized: bool = True) -> None:
-    """Write an influence matrix as CSV, one row per source client."""
-    table = matrix.normalized if normalized else matrix.entries
-    n = matrix.n_clients
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source"] + [f"to_client_{j}" for j in range(n)])
-        for i in range(n):
-            writer.writerow([f"client_{i}"] + [repr(float(v)) for v in table[i]])

@@ -20,7 +20,6 @@ along with (de)serialisation of score tables.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -332,13 +331,20 @@ def mr_shapley_rows(
 ) -> np.ndarray:
     """Exact Shapley of every round game, one row per round in round order.
 
-    The round games are independent, so they run on a thread pool bounded
-    by the CPU count; the stacked model evaluations release the GIL.
+    Costs exactly 2^N evaluator calls per round, so it is capped at
+    ``MR_SV_MAX_CLIENTS`` clients.  The round games are independent, so
+    they run on a thread pool bounded by the CPU count; the stacked model
+    evaluations release the GIL.
     """
     transcripts = list(transcripts)
     if not transcripts:
         raise ScoringError("no transcripts to score")
     n = transcripts[0].n_clients
+    if n > MR_SV_MAX_CLIENTS:
+        raise ScoringError(
+            f"multi-round Shapley enumerates 2^N coalitions per round and is "
+            f"capped at {MR_SV_MAX_CLIENTS} clients, got {n}"
+        )
     for t in transcripts:
         if t.n_clients != n:
             raise ScoringError(
@@ -352,30 +358,13 @@ def mr_shapley_rows(
 
 
 def mr_shapley(
-    transcripts: Sequence[RoundTranscript],
-    evaluator: Callable,
-    combine: str = "mean",
+    transcripts: Sequence[RoundTranscript], evaluator: Callable
 ) -> ScoreVector:
     """Multi-round Shapley: exact Shapley on every round's coalition game,
-    combined across rounds by mean (default) or sum.
-
-    Costs exactly 2^N evaluator calls per round, so it is capped at
-    ``MR_SV_MAX_CLIENTS`` clients.
-    """
+    averaged across rounds (see :func:`mr_shapley_rows`)."""
     transcripts = list(transcripts)
-    if not transcripts:
-        raise ScoringError("no transcripts to score")
-    if combine not in ("mean", "sum"):
-        raise ScoringError(f"combine must be 'mean' or 'sum', got {combine!r}")
-    n = transcripts[0].n_clients
-    if n > MR_SV_MAX_CLIENTS:
-        raise ScoringError(
-            f"multi-round Shapley enumerates 2^N coalitions per round and is "
-            f"capped at {MR_SV_MAX_CLIENTS} clients, got {n}"
-        )
-    stacked = mr_shapley_rows(transcripts, evaluator)
-    scores = stacked.mean(axis=0) if combine == "mean" else stacked.sum(axis=0)
-    return ScoreVector("MR-SV", scores, round=transcripts[-1].round)
+    rows = mr_shapley_rows(transcripts, evaluator)
+    return ScoreVector("MR-SV", rows.mean(axis=0), round=transcripts[-1].round)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +387,17 @@ def _score_rows(vectors: Sequence[ScoreVector]) -> tuple[int, list[list[str]]]:
     return n, rows
 
 
-def scores_to_csv(vectors: Sequence[ScoreVector], path) -> None:
+def scores_to_csv(vectors: Sequence[ScoreVector], out) -> None:
     """Write score vectors as CSV with header
-    method,round,client_0,...,client_{N-1}."""
+    method,round,client_0,...,client_{N-1} to a path or an open text
+    stream."""
     n, rows = _score_rows(vectors)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "round"] + [f"client_{i}" for i in range(n)])
-        writer.writerows(rows)
+    rows.insert(0, ["method", "round"] + [f"client_{i}" for i in range(n)])
+    if hasattr(out, "write"):
+        csv.writer(out).writerows(rows)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def scores_from_csv(path) -> list[ScoreVector]:
@@ -432,30 +424,3 @@ def scores_from_csv(path) -> list[ScoreVector]:
                 )
             )
     return out
-
-
-def scores_to_json(vectors: Sequence[ScoreVector], path) -> None:
-    """JSON mirror of the CSV table."""
-    payload = [
-        {
-            "method": vec.method,
-            "round": vec.round,
-            "scores": [float(s) for s in vec.scores],
-        }
-        for vec in vectors
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def scores_from_json(path) -> list[ScoreVector]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [
-        ScoreVector(
-            method=entry["method"],
-            round=entry.get("round"),
-            scores=np.array(entry["scores"], dtype=np.float64),
-        )
-        for entry in payload
-    ]

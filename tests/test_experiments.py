@@ -14,7 +14,18 @@ import sys
 import numpy as np
 import pytest
 
-from fedscore import save_table_game, scores_from_csv
+from fedscore import (
+    cos_accumulated,
+    ee,
+    fp,
+    loo,
+    model_eval_oracle,
+    mr_shapley,
+    save_table_game,
+    scores_from_csv,
+    utilities_from_transcript,
+)
+from fedscore.experiments import runs
 from fedscore.experiments import (
     ExperimentError,
     Scenario,
@@ -35,7 +46,8 @@ from fedscore.experiments import (
     weights_from_scores,
     write_table,
 )
-from fedscore.fedsim import save_transcripts
+from fedscore import fedsim
+from fedscore.fedsim import load_transcripts, save_transcripts
 
 from helpers import additive_game
 
@@ -154,6 +166,30 @@ class TestScenarioParsing:
         sc = parse_scenario_text(text)
         assert sc.federation.noise_rates == (0.1, 0.2, 0.3)
 
+    def test_mr_sv_cap_names_n_clients(self):
+        text = TINY_SCENARIO.replace("n_clients = 3", "n_clients = 13")
+        with pytest.raises(ScenarioError, match=(
+                r"federation\.n_clients: MR-SV .* capped at 12 clients, got 13")):
+            parse_scenario_text(text)
+        twelve = parse_scenario_text(
+            TINY_SCENARIO.replace("n_clients = 3", "n_clients = 12"))
+        assert twelve.federation.n_clients == 12
+
+    def test_true_sv_cap_names_n_clients(self):
+        text = (TINY_SCENARIO.replace("reference = MR-SV", "reference = true-SV")
+                .replace("n_clients = 3", "n_clients = 10"))
+        with pytest.raises(ScenarioError, match=(
+                r"federation\.n_clients: SV .* capped at 9 clients, got 10")):
+            parse_scenario_text(text)
+
+    def test_true_sv_cap_names_ablation_values(self):
+        text = (TINY_SCENARIO.replace("methods = LOO, FP, EE, COS",
+                                      "methods = LOO, SV")
+                + "\n[ablation]\naxis = n_clients\nvalues = 3, 10\n")
+        with pytest.raises(ScenarioError, match=(
+                r"ablation\.values: SV .* capped at 9 clients, got 10")):
+            parse_scenario_text(text)
+
     def test_scenario_with_overrides_federation(self):
         sc = tiny_scenario()
         sc2 = scenario_with(sc, iid=False, dirichlet_mu=0.1)
@@ -237,6 +273,36 @@ class TestRankFidelity:
         a = rank_fidelity(sc, contexts)
         b = rank_fidelity(sc, contexts)
         assert a.per_repeat == b.per_repeat
+
+
+class TestScoringCache:
+    def test_utilities_extracted_once_per_round(self):
+        sc = tiny_scenario()
+        contexts = run_repeats(sc)
+        rank_fidelity(sc, contexts)
+        calls = [c.evaluator.call_count for c in contexts]
+        influence_summary(sc, contexts=contexts)
+        manipulation_summary(sc, contexts=contexts)
+        assert [c.evaluator.call_count for c in contexts] == calls
+
+    def test_one_retraining_game_per_repeat(self, monkeypatch):
+        text = (TINY_SCENARIO.replace("methods = LOO, FP, EE, COS",
+                                      "methods = LOO, SV")
+                .replace("reference = MR-SV", "reference = true-SV"))
+        sc = parse_scenario_text(text)
+        built = []
+
+        class CountingGame(runs.RetrainingGame):
+            def __init__(self, config):
+                built.append(config.seed)
+                super().__init__(config)
+
+        monkeypatch.setattr(runs, "RetrainingGame", CountingGame)
+        result = rank_fidelity(sc)
+        assert built == list(result.seeds)
+        for row in result.per_repeat:
+            if row[2] == "SV":
+                assert row[3] == 0.0  # the method is its own reference
 
 
 class TestAblation:
@@ -437,6 +503,35 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         row = list(csv.DictReader(proc.stdout.splitlines()))[0]
         assert row["round"] == str(config.rounds)
+
+    @pytest.mark.parametrize("flag", ["loo", "fp", "ee", "cos", "mrsv"])
+    def test_score_flag_matches_library(self, flag, tiny_run, tmp_path):
+        config, transcripts, _ = tiny_run
+        arc = tmp_path / "arc"
+        save_transcripts(arc, config, transcripts)
+        # the accumulating methods over both rounds, the others at round 1
+        rnd = 2 if flag in ("cos", "mrsv") else 1
+        out = tmp_path / "scores.csv"
+        proc = self._run("score", str(arc), "--method", flag,
+                         "--round", str(rnd), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        (got,) = scores_from_csv(out)
+
+        loaded_config, loaded = load_transcripts(arc)
+        evaluator = model_eval_oracle(
+            fedsim.test_set_for(loaded_config), loaded_config.utility_kind)
+        rules = {"loo": loo, "fp": fp, "ee": ee}
+        if flag in rules:
+            want = rules[flag](
+                utilities_from_transcript(loaded[rnd - 1], evaluator))
+        elif flag == "cos":
+            want = cos_accumulated(loaded[:rnd])
+        else:
+            want = mr_shapley(loaded[:rnd], evaluator)
+        assert got.method == want.method
+        assert got.round == rnd
+        assert (got.scores.view(np.uint64).tolist()
+                == want.scores.view(np.uint64).tolist())
 
     def test_influence_csv(self, tiny_run, tmp_path):
         config, transcripts, _ = tiny_run

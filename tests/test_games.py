@@ -18,9 +18,7 @@ from fedscore import (
     GameError,
     ScoreVector,
     TableGame,
-    banzhaf_raw,
     load_table_game,
-    marginal,
     save_table_game,
     shapley_exact,
 )
@@ -39,19 +37,6 @@ def permutation_shapley(game: TableGame) -> np.ndarray:
             totals[i] += game.table[with_i] - game.table[mask]
             mask = with_i
     return totals / math.factorial(n)
-
-
-def subset_banzhaf(game: TableGame) -> np.ndarray:
-    """Reference raw Banzhaf: mean marginal over subsets excluding i."""
-    n = game.n_clients
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for mask in range(2**n):
-            if not mask >> i & 1:
-                acc += game.table[mask | (1 << i)] - game.table[mask]
-        out[i] = acc / 2 ** (n - 1)
-    return out
 
 
 class TestCoalition:
@@ -183,33 +168,6 @@ class TestShapley:
             sv = shapley_exact(game.oracle()).scores
             expected = game.table[-1] - game.table[0]
             assert abs(sv.sum() - expected) < 1e-9
-
-
-class TestBanzhaf:
-    def test_matches_subset_definition(self):
-        rng = np.random.default_rng(64)
-        for _ in range(15):
-            game = random_game(rng, int(rng.integers(2, 6)))
-            got = banzhaf_raw(game.oracle())
-            np.testing.assert_allclose(got, subset_banzhaf(game), atol=1e-12)
-
-    def test_additive_agreement(self):
-        c = np.array([0.3, -0.2, 1.1])
-        np.testing.assert_allclose(
-            banzhaf_raw(additive_game(c).oracle()), c, atol=1e-12
-        )
-
-
-class TestMarginal:
-    def test_is_value_difference(self):
-        game = worked_game()
-        base = Coalition.of([1])
-        got = marginal(game.oracle(), base, 2)
-        assert got == game.value(base.add(2)) - game.value(base)
-
-    def test_member_of_base_rejected(self):
-        with pytest.raises(GameError):
-            marginal(worked_game().oracle(), Coalition.of([1]), 1)
 
 
 class TestGameFiles:

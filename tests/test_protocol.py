@@ -5,13 +5,10 @@ exactly the EE numerator m(j), because the matrix is just that numerator
 broken out by which client's reports supplied the mass.
 """
 
-import csv
-
 import numpy as np
 import pytest
 
 from fedscore import (
-    MarginalReport,
     MisreportStrategy,
     ProtocolError,
     collect_reports,
@@ -22,29 +19,12 @@ from fedscore import (
     influence_matrix,
     loo,
     manipulation_sweep,
-    reports_from,
     robust_ee,
     RoundUtilities,
 )
-from fedscore.protocol import influence_to_csv
 
 from helpers import worked_game
 from test_scoring import random_utilities
-
-
-class TestReports:
-    def test_reports_from_utilities(self):
-        u = game_round_utilities(worked_game())
-        reports = reports_from(u)
-        assert [r.client for r in reports] == [0, 1, 2]
-        assert [r.v_with for r in reports] == [0.0, 1.0, 2.0]
-        assert [r.v_without for r in reports] == [3.0, 2.0, 1.0]
-
-    def test_report_validation(self):
-        with pytest.raises(ProtocolError):
-            MarginalReport(-1, 0.0, 0.0)
-        with pytest.raises(ProtocolError):
-            MarginalReport(0, np.nan, 0.0)
 
 
 class TestMisreportStrategy:
@@ -218,16 +198,3 @@ class TestRobustEe:
         u = random_utilities(rng, 4)
         with pytest.raises(ProtocolError):
             robust_ee(u, "mode")
-
-
-class TestInfluenceSerialisation:
-    def test_csv_shape(self, tmp_path):
-        u = game_round_utilities(worked_game())
-        mat = influence_matrix(u)
-        path = tmp_path / "influence.csv"
-        influence_to_csv(mat, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["source", "to_client_0", "to_client_1", "to_client_2"]
-        assert len(rows) == 4
-        assert float(rows[1][1]) == 0.0  # the diagonal

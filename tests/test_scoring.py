@@ -5,6 +5,8 @@ share no code with the vectorised versions, then against the worked
 3-client example whose scores are known in closed form.
 """
 
+import io
+
 import numpy as np
 import pytest
 
@@ -24,14 +26,18 @@ from fedscore import (
     loo,
     mr_shapley,
     scores_from_csv,
-    scores_from_json,
     scores_to_csv,
-    scores_to_json,
     shapley_exact,
     utilities_from_transcript,
 )
-from fedscore.fedsim import ModelParams, model_eval_oracle, round_oracle
-from fedscore.scoring import ee_scored, fp_scored
+from fedscore.fedsim import (
+    ClientUpdate,
+    ModelParams,
+    RoundTranscript,
+    model_eval_oracle,
+    round_oracle,
+)
+from fedscore.scoring import ee_scored, fp_scored, mr_shapley_rows
 
 from helpers import random_game, worked_game
 
@@ -256,20 +262,15 @@ class TestMrShapley:
         np.testing.assert_allclose(got.scores, expect, atol=1e-12)
         assert got.method == "MR-SV"
 
-    def test_mean_and_sum_combine(self, tiny_run):
+    def test_mean_of_round_rows(self, tiny_run):
         config, transcripts, test = tiny_run
         evaluator = model_eval_oracle(test, config.utility_kind)
         per_round = [mr_shapley([t], evaluator).scores for t in transcripts]
-        mean_vec = mr_shapley(transcripts, evaluator, combine="mean")
-        sum_vec = mr_shapley(transcripts, evaluator, combine="sum")
+        vec = mr_shapley(transcripts, evaluator)
         np.testing.assert_allclose(
-            mean_vec.scores, np.mean(per_round, axis=0), atol=1e-12
+            vec.scores, np.mean(per_round, axis=0), atol=1e-12
         )
-        np.testing.assert_allclose(
-            sum_vec.scores, np.sum(per_round, axis=0), atol=1e-12
-        )
-        with pytest.raises(ScoringError):
-            mr_shapley(transcripts, evaluator, combine="median")
+        assert vec.round == transcripts[-1].round
 
     def test_cost_is_two_to_the_n_per_round(self, tiny_run):
         config, transcripts, test = tiny_run
@@ -285,6 +286,18 @@ class TestMrShapley:
         with pytest.raises(ScoringError):
             mr_shapley([], evaluator)
 
+    def test_rows_refuse_thirteen_clients_before_evaluating(self, tiny_run):
+        config, transcripts, test = tiny_run
+        evaluator = model_eval_oracle(test, config.utility_kind)
+        m0 = transcripts[0].m0
+        zero = ModelParams(np.zeros(m0.dim))
+        wide = RoundTranscript(
+            1, m0, tuple(ClientUpdate(i, zero) for i in range(13)), m0
+        )
+        with pytest.raises(ScoringError, match="capped at 12 clients, got 13"):
+            mr_shapley_rows([wide], evaluator)
+        assert evaluator.call_count == 0
+
 
 class TestScoreTables:
     def test_csv_roundtrip(self, tmp_path):
@@ -298,13 +311,14 @@ class TestScoreTables:
             assert np.array_equal(got.scores, sent.scores)
             assert got.round == sent.round
 
-    def test_json_roundtrip(self, tmp_path):
+    def test_stream_gets_the_file_bytes(self, tmp_path):
         u = game_round_utilities(worked_game())
-        path = tmp_path / "scores.json"
-        scores_to_json([ee(u)], path)
-        (got,) = scores_from_json(path)
-        assert got.method == "EE"
-        assert np.array_equal(got.scores, ee(u).scores)
+        vectors = [loo(u), ee(u)]
+        path = tmp_path / "scores.csv"
+        scores_to_csv(vectors, path)
+        stream = io.StringIO(newline="")
+        scores_to_csv(vectors, stream)
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
