@@ -24,6 +24,7 @@ from .runs import (
     weighted_aggregation,
 )
 from .scenario import (
+    AblationBlock,
     InfluenceBlock,
     ManipulationBlock,
     MisbehaviorBlock,
@@ -71,102 +72,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _fidelity_tables(tables_dir, result):
-    files = write_table(
-        tables_dir,
-        "rank_fidelity",
-        ["method", "metric", "mean", "variance"],
-        result.summary,
-    )
-    files += write_table(
-        tables_dir,
-        "rank_fidelity_per_seed",
-        ["repeat", "seed", "method", "l2", "spearman", "kendall", "pearson"],
-        result.per_repeat,
-    )
-    return files
-
-
-def _ablation_tables(tables_dir, result):
-    return write_table(
-        tables_dir,
-        "ablation",
-        ["axis", "value", "method", "metric", "mean", "variance"],
-        result.rows,
-    )
-
-
-def _weighted_tables(tables_dir, result):
-    files = write_table(
-        tables_dir,
-        "weighted_curves",
-        ["repeat", "round", "method", "neg_loss"],
-        result.curves,
-    )
-    files += write_table(
-        tables_dir,
-        "weighted_curves_mean",
-        ["round", "method", "mean_neg_loss", "variance"],
-        result.aggregate,
-    )
-    files += write_table(
-        tables_dir,
-        "weighted_summary",
-        ["method", "wins_vs_fedavg", "repeats", "mean_final_neg_loss",
-         "fedavg_mean_final_neg_loss"],
-        result.summary,
-    )
-    files += write_table(
-        tables_dir,
-        "weighted_flagged",
-        ["repeat", "round", "method"],
-        result.flagged,
-    )
-    return files
-
-
-def _misbehavior_tables(tables_dir, result):
-    files = write_table(
-        tables_dir,
-        "misbehavior",
-        ["method", "detection_rate", "attacker_score_min", "q1", "median",
-         "q3", "attacker_score_max"],
-        result.summary,
-    )
-    files += write_table(
-        tables_dir,
-        "misbehavior_per_seed",
-        ["repeat", "seed", "method", "attacker_score", "detected"],
-        result.per_repeat,
-    )
-    return files
-
-
-def _influence_tables(tables_dir, result):
-    files = write_table(
-        tables_dir,
-        "influence",
-        ["source", "target", "mean_normalized_influence"],
-        result.rows,
-    )
-    files += write_table(
-        tables_dir,
-        "influence_flagged",
-        ["repeat", "column", "reason"],
-        result.flagged,
-    )
-    return files
-
-
-def _manipulation_tables(tables_dir, result):
-    return write_table(
-        tables_dir,
-        "manipulation",
-        ["scorer", "kind", "mean_own_delta", "max_abs_numerator_delta"],
-        result.rows,
-    )
-
-
 def run_scenario(path, out_dir=None, master_seed=None):
     """Parse, execute, and persist a scenario; returns the bundle dir.
 
@@ -187,34 +92,30 @@ def run_scenario(path, out_dir=None, master_seed=None):
     os.makedirs(tables_dir, exist_ok=True)
 
     contexts = run_repeats(scenario)
-    files = _fidelity_tables(tables_dir, rank_fidelity(scenario, contexts))
-    components = ["rank_fidelity"]
-
-    if scenario.ablation is not None:
-        shared = contexts if scenario.ablation.axis == "round" else None
-        files += _ablation_tables(
-            tables_dir, ablation(scenario, contexts=shared)
-        )
-        components.append("ablation")
-    for block in scenario.downstream:
-        if isinstance(block, WeightedBlock):
-            files += _weighted_tables(
-                tables_dir, weighted_aggregation(scenario, block)
-            )
-            components.append("weighted_aggregation")
-        elif isinstance(block, MisbehaviorBlock):
-            files += _misbehavior_tables(tables_dir, misbehavior(scenario, block))
-            components.append("misbehavior")
-        elif isinstance(block, InfluenceBlock):
-            files += _influence_tables(
-                tables_dir, influence_summary(scenario, block, contexts)
-            )
-            components.append("influence")
-        elif isinstance(block, ManipulationBlock):
-            files += _manipulation_tables(
-                tables_dir, manipulation_summary(scenario, contexts)
-            )
-            components.append("manipulation")
+    # Each lambda looks its component up by module-level name when it
+    # runs, so a rebound name (a tracer's wrapper) is the one called.
+    by_block = {
+        AblationBlock: ("ablation", lambda: ablation(scenario, contexts)),
+        WeightedBlock: (
+            "weighted_aggregation", lambda: weighted_aggregation(scenario)
+        ),
+        MisbehaviorBlock: ("misbehavior", lambda: misbehavior(scenario)),
+        InfluenceBlock: (
+            "influence", lambda: influence_summary(scenario, contexts)
+        ),
+        ManipulationBlock: (
+            "manipulation", lambda: manipulation_summary(scenario, contexts)
+        ),
+    }
+    blocks = [
+        b for b in (scenario.ablation, *scenario.downstream) if b is not None
+    ]
+    components = [("rank_fidelity", lambda: rank_fidelity(scenario, contexts))]
+    components += [by_block[type(b)] for b in blocks]
+    files = []
+    for _, component in components:
+        for name, header, rows in component():
+            files += write_table(tables_dir, name, header, rows)
 
     seeds_path = os.path.join(out_dir, "seeds.json")
     with open(seeds_path, "w", encoding="utf-8") as fh:
@@ -243,7 +144,7 @@ def run_scenario(path, out_dir=None, master_seed=None):
         fh.write(json.dumps(
             {
                 "scenario": scenario.name,
-                "components": components,
+                "components": [name for name, _ in components],
                 "tables": sorted(files),
             },
             sort_keys=True, separators=(",", ":"),

@@ -1,9 +1,10 @@
 """Experiment operations over scenarios.
 
 Each operation runs the scenario's federation once per repeat (seeds
-derived from the master seed), scores the transcripts, and returns a
-small result object whose rows are plain tuples ready for the bundle
-writer.  Heavier invariants are enforced inline on every run:
+derived from the master seed), scores the transcripts, and returns its
+bundle tables as (name, header, rows) triples, each header declared next
+to the code that builds its rows.  Heavier invariants are enforced
+inline on every run:
 
 - scoring a round through RoundUtilities must cost exactly 2N+2 model
   evaluations, and a per-round Shapley must cost exactly 2^N (the
@@ -43,6 +44,7 @@ from ..scoring import (
     utilities_from_transcript,
 )
 from .scenario import (
+    ABLATION_FIELDS,
     REFERENCE_METHODS,
     InfluenceBlock,
     MisbehaviorBlock,
@@ -183,26 +185,11 @@ def _horizon(scenario):
     return scenario.eval_round
 
 
-@dataclass(frozen=True)
-class FidelityResult:
-    """Rank-fidelity metrics against the reference.
 
-    per_repeat rows: (repeat, seed, method, l2, spearman, kendall, pearson).
-    summary rows: (method, metric, mean, variance) with sample variance.
-    """
 
-    scenario_name: str
-    reference: str
-    methods: tuple
-    seeds: tuple
-    per_repeat: tuple
-    summary: tuple
-
-    def mean(self, method, metric):
-        for m, met, mean, _ in self.summary:
-            if m == method and met == metric:
-                return mean
-        raise KeyError(f"no summary entry for {method}/{metric}")
+def _block(scenario, kind):
+    """The scenario's downstream block of this type, or None."""
+    return next((b for b in scenario.downstream if isinstance(b, kind)), None)
 
 
 def _summarize(methods, per_repeat):
@@ -213,12 +200,14 @@ def _summarize(methods, per_repeat):
             vals = np.array([r[3 + k] for r in cols])
             var = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
             rows.append((method, metric, float(vals.mean()), var))
-    return tuple(rows)
+    return rows
 
 
 def rank_fidelity(scenario, contexts=None):
     """Score every repeat at the eval round and compare to the reference.
 
+    Per method, rank_fidelity holds each metric's mean and sample
+    variance across repeats; rank_fidelity_per_seed keeps every repeat.
     contexts lets the round-axis ablation reuse one set of trained
     federations; when omitted the federations are trained here.
     """
@@ -241,71 +230,40 @@ def rank_fidelity(scenario, contexts=None):
                 float(corr.kendall),
                 float(corr.pearson),
             ))
-    return FidelityResult(
-        scenario_name=scenario.name,
-        reference=scenario.reference,
-        methods=tuple(scenario.methods),
-        seeds=tuple(ctx.seed for ctx in contexts),
-        per_repeat=tuple(per_repeat),
-        summary=_summarize(scenario.methods, per_repeat),
-    )
+    return [
+        ("rank_fidelity", ("method", "metric", "mean", "variance"),
+         _summarize(scenario.methods, per_repeat)),
+        ("rank_fidelity_per_seed", ("repeat", "seed", "method") + METRIC_NAMES,
+         per_repeat),
+    ]
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    """rank_fidelity repeated along one axis, one consolidated table.
+def ablation(scenario, contexts=None):
+    """Repeat rank_fidelity along the scenario's ablation axis.
 
-    rows: (axis, value, method, metric, mean, variance).
+    Axis "round" re-scores one set of trained federations at each round,
+    reusing contexts when given; "n_clients" and "mu" change the
+    federation, so they retrain per value and ignore contexts.
     """
-
-    scenario_name: str
-    axis: str
-    values: tuple
-    rows: tuple
-
-
-def ablation(scenario, axis=None, values=None, contexts=None):
-    """Repeat rank_fidelity along an axis.
-
-    axis "round" re-scores one set of trained federations at several
-    rounds; "n_clients" and "mu" retrain per value.  axis/values default
-    to the scenario's ablation block.  Pre-trained contexts are only
-    reusable on the round axis; the other axes change the federation.
-    """
-    if axis is None or values is None:
-        if scenario.ablation is None:
-            raise ExperimentError("scenario has no ablation block")
-        axis = scenario.ablation.axis
-        values = scenario.ablation.values
+    block = scenario.ablation
+    if block is None:
+        raise ExperimentError("scenario has no ablation block")
+    # The variants only feed rank_fidelity; the blocks were checked
+    # against the scenario's own federation, not the varied one.
+    base = dataclasses.replace(scenario, ablation=None, downstream=())
+    if block.axis == "round" and contexts is None:
+        contexts = run_repeats(base)
     rows = []
-    if axis == "round":
-        for v in values:
-            if not (1 <= v <= scenario.federation.rounds):
-                raise ExperimentError(
-                    f"ablation round {v} outside 1..{scenario.federation.rounds}"
-                )
-        if contexts is None:
-            contexts = run_repeats(scenario)
-        for v in values:
-            sub = dataclasses.replace(scenario, eval_round=int(v))
-            res = rank_fidelity(sub, contexts=contexts)
-            for method, metric, mean, var in res.summary:
-                rows.append((axis, v, method, metric, mean, var))
-    elif axis in ("n_clients", "mu"):
-        field = "n_clients" if axis == "n_clients" else "dirichlet_mu"
-        for v in values:
-            sub = scenario_with(scenario, **{field: v})
-            res = rank_fidelity(sub)
-            for method, metric, mean, var in res.summary:
-                rows.append((axis, v, method, metric, mean, var))
-    else:
-        raise ExperimentError(f"unknown ablation axis {axis!r}")
-    return AblationResult(
-        scenario_name=scenario.name,
-        axis=axis,
-        values=tuple(values),
-        rows=tuple(rows),
-    )
+    for value in block.values:
+        if block.axis == "round":
+            variant = dataclasses.replace(base, eval_round=int(value))
+            shared = contexts
+        else:
+            field = ABLATION_FIELDS[block.axis]
+            variant, shared = scenario_with(base, **{field: value}), None
+        (_, header, summary), _ = rank_fidelity(variant, shared)
+        rows += [(block.axis, value) + row for row in summary]
+    return [("ablation", ("axis", "value") + header, rows)]
 
 
 def _linear_rates(n):
@@ -346,39 +304,18 @@ def _round_scores(method, ctx, t):
     return per_round[method]()
 
 
-@dataclass(frozen=True)
-class WeightedResult:
-    """Score-weighted aggregation curves.
-
-    curves rows: (repeat, round, method, neg_loss) where method includes
-    the FedAvg baseline.  aggregate rows: (round, method, mean, variance).
-    summary rows: (method, wins_vs_fedavg, repeats, mean_final, fedavg_final).
-    flagged rows: (repeat, round, method) where weights degenerated.
-    """
-
-    scenario_name: str
-    weight_mode: str
-    methods: tuple
-    seeds: tuple
-    curves: tuple
-    aggregate: tuple
-    summary: tuple
-    flagged: tuple
-
-
-def weighted_aggregation(scenario, block=None):
+def weighted_aggregation(scenario):
     """Per-round score-weighted aggregates evaluated by negative test loss.
 
     All methods share one plain FedAvg training run per repeat; weighting
     happens only at a side aggregation step, so curves isolate the effect
     of the weights.  The run self-checks that uniform weights reproduce
-    the transcript's aggregate bit-exactly.
+    the transcript's aggregate bit-exactly.  Settings come from the
+    scenario's weighted block, or its defaults when there is none.
+    weighted_flagged lists the (repeat, round, method) whose weights
+    degenerated to uniform.
     """
-    if block is None:
-        block = next(
-            (b for b in scenario.downstream if isinstance(b, WeightedBlock)),
-            WeightedBlock(),
-        )
+    block = _block(scenario, WeightedBlock) or WeightedBlock()
     n = scenario.federation.n_clients
     rates = block.rates if block.rates is not None else _linear_rates(n)
     noisy = scenario_with(scenario, iid=True, noise_rates=rates)
@@ -440,56 +377,29 @@ def weighted_aggregation(scenario, block=None):
             float(np.mean(finals[method])),
             float(np.mean(fedavg_finals)),
         ))
-    return WeightedResult(
-        scenario_name=scenario.name,
-        weight_mode=block.weight_mode,
-        methods=methods,
-        seeds=tuple(ctx.seed for ctx in contexts),
-        curves=tuple(curves),
-        aggregate=tuple(aggregate),
-        summary=tuple(summary),
-        flagged=tuple(flagged),
-    )
+    return [
+        ("weighted_curves", ("repeat", "round", "method", "neg_loss"), curves),
+        ("weighted_curves_mean",
+         ("round", "method", "mean_neg_loss", "variance"), aggregate),
+        ("weighted_summary",
+         ("method", "wins_vs_fedavg", "repeats", "mean_final_neg_loss",
+          "fedavg_mean_final_neg_loss"), summary),
+        ("weighted_flagged", ("repeat", "round", "method"), flagged),
+    ]
 
 
-@dataclass(frozen=True)
-class MisbehaviorResult:
-    """Detection of a label-flipping client.
-
-    summary rows: (method, detection_rate, min, q1, median, q3, max) with
-    box statistics over the attacker's normalized score across repeats.
-    per_repeat rows: (repeat, seed, method, attacker_score, detected).
-    """
-
-    scenario_name: str
-    attacker: int
-    eval_round: int
-    methods: tuple
-    seeds: tuple
-    summary: tuple
-    per_repeat: tuple
-
-
-def misbehavior(scenario, block=None):
-    """IID federation with one label-flipping attacker; per method, how
-    often the attacker lands strictly lowest (ties break low, so a tie at
-    index 0 counts only for attacker 0)."""
+def misbehavior(scenario):
+    """IID federation with the misbehavior block's label-flipping
+    attacker; per method, how often the attacker lands strictly lowest
+    (ties break low, so a tie at index 0 counts only for attacker 0),
+    with box statistics of its normalized score across repeats."""
+    block = _block(scenario, MisbehaviorBlock)
     if block is None:
-        blocks = [
-            b for b in scenario.downstream if isinstance(b, MisbehaviorBlock)
-        ]
-        if not blocks:
-            raise ExperimentError("scenario has no misbehavior block")
-        block = blocks[0]
+        raise ExperimentError("scenario has no misbehavior block")
     n = scenario.federation.n_clients
     eval_round = (
         block.eval_round if block.eval_round is not None else scenario.eval_round
     )
-    if not (1 <= eval_round <= scenario.federation.rounds):
-        raise ExperimentError(
-            f"misbehavior eval_round {eval_round} outside "
-            f"1..{scenario.federation.rounds}"
-        )
     rates = tuple(
         block.rate if i == block.attacker else 0.0 for i in range(n)
     )
@@ -520,45 +430,22 @@ def misbehavior(scenario, block=None):
         ])
         qs = np.percentile(att, [0, 25, 50, 75, 100])
         summary.append((method, float(rate)) + tuple(float(q) for q in qs))
-    return MisbehaviorResult(
-        scenario_name=scenario.name,
-        attacker=block.attacker,
-        eval_round=eval_round,
-        methods=methods,
-        seeds=tuple(ctx.seed for ctx in contexts),
-        summary=tuple(summary),
-        per_repeat=tuple(per_repeat),
-    )
+    return [
+        ("misbehavior",
+         ("method", "detection_rate", "attacker_score_min", "q1", "median",
+          "q3", "attacker_score_max"), summary),
+        ("misbehavior_per_seed",
+         ("repeat", "seed", "method", "attacker_score", "detected"),
+         per_repeat),
+    ]
 
 
-@dataclass(frozen=True)
-class InfluenceResult:
-    """Mean normalized influence of reporters on EE numerators.
-
-    rows: (source, target, mean_normalized_influence); the diagonal is
-    exactly zero.  flagged rows: (repeat, column, reason).
-    """
-
-    scenario_name: str
-    round: int
-    n_clients: int
-    seeds: tuple
-    rows: tuple
-    flagged: tuple
-
-
-def influence_summary(scenario, block=None, contexts=None):
-    """Influence matrices at one round, averaged across repeats."""
-    if block is None:
-        block = next(
-            (b for b in scenario.downstream if isinstance(b, InfluenceBlock)),
-            InfluenceBlock(),
-        )
+def influence_summary(scenario, contexts=None):
+    """Influence matrices at the influence block's round, averaged across
+    repeats; the diagonal is exactly zero.  influence_flagged lists each
+    repeat's degenerate columns."""
+    block = _block(scenario, InfluenceBlock) or InfluenceBlock()
     rnd = block.round if block.round is not None else scenario.eval_round
-    if not (1 <= rnd <= scenario.federation.rounds):
-        raise ExperimentError(
-            f"influence round {rnd} outside 1..{scenario.federation.rounds}"
-        )
     if contexts is None:
         contexts = run_repeats(scenario)
     n = scenario.federation.n_clients
@@ -570,31 +457,11 @@ def influence_summary(scenario, block=None, contexts=None):
         for col in matrix.flagged_columns:
             flagged.append((ctx.repeat, int(col), "degenerate column"))
     mean = total / len(contexts)
-    rows = tuple(
-        (i, j, float(mean[i, j])) for i in range(n) for j in range(n)
-    )
-    return InfluenceResult(
-        scenario_name=scenario.name,
-        round=rnd,
-        n_clients=n,
-        seeds=tuple(ctx.seed for ctx in contexts),
-        rows=rows,
-        flagged=tuple(flagged),
-    )
-
-
-@dataclass(frozen=True)
-class ManipulationResult:
-    """Misreport sweep aggregated over repeats and targets.
-
-    rows: (scorer, kind, mean_own_delta, max_abs_numerator_delta).  The
-    EE rows' numerator column must be exactly zero; that is the
-    manipulation-resistance claim in table form.
-    """
-
-    scenario_name: str
-    seeds: tuple
-    rows: tuple
+    rows = [(i, j, float(mean[i, j])) for i in range(n) for j in range(n)]
+    return [
+        ("influence", ("source", "target", "mean_normalized_influence"), rows),
+        ("influence_flagged", ("repeat", "column", "reason"), flagged),
+    ]
 
 
 _SWEEP_KINDS = (
@@ -607,7 +474,9 @@ _SWEEP_KINDS = (
 
 def manipulation_summary(scenario, contexts=None):
     """Standard misreport sweep at the eval round, every client as the
-    attacker in turn."""
+    attacker in turn, aggregated over repeats and targets.  The EE rows'
+    numerator column must be exactly zero; that is the
+    manipulation-resistance claim in table form."""
     if contexts is None:
         contexts = run_repeats(scenario)
     n = scenario.federation.n_clients
@@ -625,13 +494,13 @@ def manipulation_summary(scenario, contexts=None):
             key = (row.scorer, kind)
             own.setdefault(key, []).append(row.own_delta)
             numer.setdefault(key, []).append(abs(row.numerator_delta))
-    rows = tuple(
+    rows = [
         (scorer, kind, float(np.mean(own[(scorer, kind)])),
          float(np.max(numer[(scorer, kind)])))
         for scorer, kind in sorted(own)
-    )
-    return ManipulationResult(
-        scenario_name=scenario.name,
-        seeds=tuple(ctx.seed for ctx in contexts),
-        rows=rows,
-    )
+    ]
+    return [
+        ("manipulation",
+         ("scorer", "kind", "mean_own_delta", "max_abs_numerator_delta"),
+         rows),
+    ]

@@ -40,6 +40,7 @@ import io
 from dataclasses import dataclass, field
 
 from ..fedsim import FederationConfig, SyntheticSpec, UTILITY_KINDS
+from ..games import METHOD_LABELS
 from ..scoring import MR_SV_MAX_CLIENTS
 
 # Each reference kind and the method label that computes it.
@@ -47,8 +48,11 @@ REFERENCE_METHODS = {"MR-SV": "MR-SV", "true-SV": "SV"}
 REFERENCE_KINDS = tuple(REFERENCE_METHODS)
 REFERENCE_ROUNDS = ("eval", "all")
 ABLATION_AXES = ("round", "n_clients", "mu")
+# The federation field each ablation axis but round varies.
+ABLATION_FIELDS = {"n_clients": "n_clients", "mu": "dirichlet_mu"}
 WEIGHT_MODES = ("perround", "cumulative")
-SCORER_LABELS = ("SV", "MR-SV", "LOO", "IOI", "FP", "EE", "COS")
+# EE-MED labels a ScoreVector but is no scenario method.
+SCORER_LABELS = tuple(m for m in METHOD_LABELS if m != "EE-MED")
 
 # True SV retrains a federation for each of the 2^N coalitions.
 TRUE_SV_MAX_CLIENTS = 9
@@ -57,6 +61,13 @@ _CLIENT_CAPS = {"MR-SV": MR_SV_MAX_CLIENTS, "SV": TRUE_SV_MAX_CLIENTS}
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names section.field."""
+
+
+def _check_round(field, rnd, rounds):
+    if rnd is not None and not 1 <= rnd <= rounds:
+        raise ScenarioError(
+            f"{field}: {rnd} outside 1..{rounds} (federation.rounds)"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,26 @@ class WeightedBlock:
     weight_mode: str = "cumulative"
     rates: tuple | None = None  # None -> linear i/(N-1)
 
+    def validate(self, federation):
+        n = federation.n_clients
+        if self.rates is None:
+            if n < 2:
+                raise ScenarioError(
+                    "downstream.weighted.rates: linear schedule needs >= 2 "
+                    "clients"
+                )
+            return
+        if len(self.rates) != n:
+            raise ScenarioError(
+                f"downstream.weighted.rates: {len(self.rates)} values for {n} "
+                f"clients (federation.n_clients)"
+            )
+        for rate in self.rates:
+            if not 0.0 <= rate <= 1.0:
+                raise ScenarioError(
+                    f"downstream.weighted.rates: {rate} outside [0, 1]"
+                )
+
 
 @dataclass(frozen=True)
 class MisbehaviorBlock:
@@ -85,20 +116,42 @@ class MisbehaviorBlock:
     rate: float = 1.0
     eval_round: int | None = None  # None -> scenario eval_round
 
+    def validate(self, federation):
+        if not 0 <= self.attacker < federation.n_clients:
+            raise ScenarioError(
+                f"downstream.misbehavior.attacker: {self.attacker} outside "
+                f"0..{federation.n_clients - 1}"
+            )
+        if not 0.0 <= self.rate <= 1.0:
+            raise ScenarioError(
+                f"downstream.misbehavior.rate: {self.rate} outside [0, 1]"
+            )
+        _check_round("downstream.misbehavior.eval_round", self.eval_round,
+                     federation.rounds)
+
 
 @dataclass(frozen=True)
 class InfluenceBlock:
-    round: int | None = None
+    round: int | None = None  # None -> scenario eval_round
+
+    def validate(self, federation):
+        _check_round("downstream.influence.round", self.round,
+                     federation.rounds)
 
 
 @dataclass(frozen=True)
 class ManipulationBlock:
-    pass
+    def validate(self, federation):
+        pass
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated experiment description."""
+    """A fully validated experiment description.
+
+    Every block field is checked here, so copies made with
+    dataclasses.replace are checked too.
+    """
 
     name: str
     federation: FederationConfig
@@ -114,11 +167,8 @@ class Scenario:
     def __post_init__(self):
         if self.repeats < 1:
             raise ScenarioError("scenario.repeats: must be >= 1")
-        if not (1 <= self.eval_round <= self.federation.rounds):
-            raise ScenarioError(
-                f"scenario.eval_round: {self.eval_round} outside "
-                f"1..{self.federation.rounds} (federation.rounds)"
-            )
+        _check_round("scenario.eval_round", self.eval_round,
+                     self.federation.rounds)
         if self.reference not in REFERENCE_KINDS:
             raise ScenarioError(
                 f"scenario.reference: {self.reference!r} not one of "
@@ -138,9 +188,30 @@ class Scenario:
         if not self.methods:
             raise ScenarioError("scenario.methods: at least one method")
         self._check_caps(self.federation.n_clients, "federation.n_clients")
-        if self.ablation is not None and self.ablation.axis == "n_clients":
-            for n in self.ablation.values:
-                self._check_caps(n, "ablation.values")
+        if self.ablation is not None:
+            self._check_ablation()
+        for block in self.downstream:
+            block.validate(self.federation)
+
+    def _check_ablation(self):
+        axis = self.ablation.axis
+        if axis not in ABLATION_AXES:
+            raise ScenarioError(
+                f"ablation.axis: {axis!r} not one of {ABLATION_AXES}"
+            )
+        if not self.ablation.values:
+            raise ScenarioError("ablation.values: empty list")
+        for v in self.ablation.values:
+            if axis == "round":
+                _check_round("ablation.values", v, self.federation.rounds)
+                continue
+            try:
+                dataclasses.replace(self.federation,
+                                    **{ABLATION_FIELDS[axis]: v})
+            except ValueError as exc:
+                raise ScenarioError(f"ablation.values: {exc}") from None
+            if axis == "n_clients":
+                self._check_caps(v, "ablation.values")
 
     def _check_caps(self, n_clients, field):
         labels = set(self.methods) | {REFERENCE_METHODS[self.reference]}
@@ -313,19 +384,14 @@ def parse_scenario(source, name=None):
         if "axis" not in raw:
             raise ScenarioError("ablation.axis: required field is missing")
         axis = raw["axis"].strip()
-        if axis not in ABLATION_AXES:
-            raise ScenarioError(
-                f"ablation.axis: {axis!r} not one of {ABLATION_AXES}"
-            )
         if "values" not in raw:
             raise ScenarioError("ablation.values: required field is missing")
-        kind = float if axis == "mu" else int
+        # Scenario names an unknown axis; its values stay strings.
+        kind = {"round": int, "n_clients": int, "mu": float}.get(axis, str)
         values = tuple(
             _conv("ablation", "values", s.strip(), kind)
             for s in raw["values"].split(",") if s.strip()
         )
-        if not values:
-            raise ScenarioError("ablation.values: empty list")
         ablation = AblationBlock(axis=axis, values=values)
 
     downstream = []
@@ -347,7 +413,7 @@ def parse_scenario(source, name=None):
         raw = dict(parser.items("downstream.misbehavior"))
         _check_keys("downstream.misbehavior", raw,
                     _BLOCK_KEYS["downstream.misbehavior"])
-        block = MisbehaviorBlock(
+        downstream.append(MisbehaviorBlock(
             attacker=_conv("downstream.misbehavior", "attacker",
                            raw.get("attacker", "0"), int),
             rate=_conv("downstream.misbehavior", "rate",
@@ -357,17 +423,7 @@ def parse_scenario(source, name=None):
                       raw["eval_round"], int)
                 if "eval_round" in raw else None
             ),
-        )
-        if not (0 <= block.attacker < n_clients):
-            raise ScenarioError(
-                f"downstream.misbehavior.attacker: {block.attacker} outside "
-                f"0..{n_clients - 1}"
-            )
-        if not (0.0 <= block.rate <= 1.0):
-            raise ScenarioError(
-                f"downstream.misbehavior.rate: {block.rate} outside [0, 1]"
-            )
-        downstream.append(block)
+        ))
     if parser.has_section("downstream.influence"):
         raw = dict(parser.items("downstream.influence"))
         _check_keys("downstream.influence", raw,

@@ -34,6 +34,7 @@ from .federation import (
 from .mlp import ModelParams
 
 _FORMAT_VERSION = 1
+_MANIFEST_KEYS = ("n_clients", "dim", "rounds", "config_sha256", "files")
 
 
 class ArchiveError(ValueError):
@@ -139,11 +140,19 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
     if not os.path.exists(manifest_path):
         raise ArchiveError(f"{dirpath}: no manifest.json, not a transcript archive")
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ArchiveError(f"manifest.json: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ArchiveError("manifest.json: not a JSON object")
     if manifest.get("format_version") != _FORMAT_VERSION:
         raise ArchiveError(
             f"unsupported archive format {manifest.get('format_version')!r}"
         )
+    for key in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise ArchiveError(f"manifest.json: missing key {key!r}")
 
     with open(os.path.join(dirpath, "config.json"), "rb") as fh:
         config_bytes = fh.read()

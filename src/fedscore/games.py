@@ -172,6 +172,15 @@ def _finite_utility(mask: int, value) -> float:
     return value
 
 
+def _check_table_clients(n_clients, where=""):
+    """Reject a table size before a 2^n table is allocated for it."""
+    if not 1 <= n_clients <= MAX_ENUM_CLIENTS:
+        raise GameError(
+            f"{where}table games support 1..{MAX_ENUM_CLIENTS} clients, "
+            f"got {n_clients}"
+        )
+
+
 @dataclass(frozen=True)
 class TableGame:
     """Explicit utility table over all 2^N coalitions.
@@ -183,11 +192,7 @@ class TableGame:
     table: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_clients <= MAX_ENUM_CLIENTS:
-            raise GameError(
-                f"table games support 1..{MAX_ENUM_CLIENTS} clients, "
-                f"got {self.n_clients}"
-            )
+        _check_table_clients(self.n_clients)
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != (2**self.n_clients,):
             raise GameError(
@@ -210,6 +215,7 @@ class TableGame:
         client indices.  Every one of the 2^n_clients subsets must appear
         exactly once.
         """
+        _check_table_clients(n_clients)
         table = np.full(2**n_clients, np.nan)
         for key, value in values.items():
             if isinstance(key, Coalition):
@@ -337,6 +343,7 @@ def load_table_game(path) -> TableGame:
                     raise GameError(
                         f"{path}:{lineno}: expected the client count, got {line!r}"
                     ) from None
+                _check_table_clients(n_clients, f"{path}:{lineno}: ")
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -6,6 +6,7 @@ paper-shaped scenarios are exercised by the release gate instead.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from fedscore import (
 )
 from fedscore.experiments import runs
 from fedscore.experiments import (
+    AblationBlock,
     ExperimentError,
     Scenario,
     ScenarioError,
@@ -101,6 +103,11 @@ rate = 1.0
 
 def tiny_scenario(extra=""):
     return parse_scenario_text(TINY_SCENARIO + extra, name="tiny")
+
+
+def table_rows(tables):
+    """A component's (name, header, rows) tables as name -> rows."""
+    return {name: rows for name, _, rows in tables}
 
 
 class TestScenarioParsing:
@@ -190,6 +197,66 @@ class TestScenarioParsing:
                 r"ablation\.values: SV .* capped at 9 clients, got 10")):
             parse_scenario_text(text)
 
+    @pytest.mark.parametrize("block, field", [
+        pytest.param("[downstream.misbehavior]\neval_round = 3\n",
+                     r"downstream\.misbehavior\.eval_round: 3 outside 1\.\.2",
+                     id="misbehavior.eval_round-high"),
+        pytest.param("[downstream.misbehavior]\neval_round = 0\n",
+                     r"downstream\.misbehavior\.eval_round: 0 outside 1\.\.2",
+                     id="misbehavior.eval_round-zero"),
+        pytest.param("[downstream.influence]\nround = 3\n",
+                     r"downstream\.influence\.round: 3 outside 1\.\.2",
+                     id="influence.round"),
+        pytest.param("[downstream.weighted]\nrates = 0.0, 0.5\n",
+                     r"downstream\.weighted\.rates: 2 values for 3 clients",
+                     id="weighted.rates-count"),
+        pytest.param("[downstream.weighted]\nrates = 0.0, 0.5, 1.5\n",
+                     r"downstream\.weighted\.rates: 1\.5 outside \[0, 1\]",
+                     id="weighted.rates-range"),
+        pytest.param("[ablation]\naxis = round\nvalues = 1, 3\n",
+                     r"ablation\.values: 3 outside 1\.\.2",
+                     id="ablation.values-round"),
+        pytest.param("[ablation]\naxis = mu\nvalues = 0.5, 0\n",
+                     r"ablation\.values: dirichlet_mu must be positive, got 0\.0",
+                     id="ablation.values-mu"),
+        pytest.param("[ablation]\naxis = n_clients\nvalues = 3, 0\n",
+                     r"ablation\.values: need at least one client, got 0",
+                     id="ablation.values-n_clients"),
+    ])
+    def test_block_field_checked_at_parse(self, block, field):
+        with pytest.raises(ScenarioError, match=field):
+            tiny_scenario("\n" + block)
+
+    def test_client_axis_checks_noise_rates(self):
+        text = TINY_SCENARIO.replace(
+            "utility = neg_loss",
+            "utility = neg_loss\nnoise_rates = 0.1, 0.2, 0.3")
+        with pytest.raises(ScenarioError, match=(
+                r"ablation\.values: noise_rates has 3 entries for 2 clients")):
+            parse_scenario_text(
+                text + "\n[ablation]\naxis = n_clients\nvalues = 2\n")
+
+    def test_linear_weighted_rates_need_two_clients(self):
+        text = TINY_SCENARIO.replace("n_clients = 3", "n_clients = 1")
+        with pytest.raises(ScenarioError, match=(
+                r"downstream\.weighted\.rates: linear schedule needs >= 2")):
+            parse_scenario_text(text + "\n[downstream.weighted]\n")
+
+    def test_replaced_copy_is_checked(self):
+        sc = tiny_scenario("\n[downstream.influence]\nround = 2\n")
+        fed = dataclasses.replace(sc.federation, rounds=1)
+        with pytest.raises(ScenarioError, match="downstream.influence.round"):
+            dataclasses.replace(sc, federation=fed, eval_round=1)
+
+    def test_empty_ablation_values_rejected(self):
+        with pytest.raises(ScenarioError, match="ablation.values: empty list"):
+            dataclasses.replace(tiny_scenario(),
+                                ablation=AblationBlock("round", ()))
+
+    def test_unknown_ablation_axis_named(self):
+        with pytest.raises(ScenarioError, match="ablation.axis: 'seed'"):
+            tiny_scenario("\n[ablation]\naxis = seed\nvalues = 0.5\n")
+
     def test_scenario_with_overrides_federation(self):
         sc = tiny_scenario()
         sc2 = scenario_with(sc, iid=False, dirichlet_mu=0.1)
@@ -235,7 +302,7 @@ class TestRunRepeats:
 
 @pytest.fixture(scope="module")
 def fidelity_result():
-    return rank_fidelity(tiny_scenario())
+    return table_rows(rank_fidelity(tiny_scenario()))
 
 
 class TestRankFidelity:
@@ -244,35 +311,30 @@ class TestRankFidelity:
         return fidelity_result
 
     def test_shape(self, result):
-        assert result.methods == ("LOO", "FP", "EE", "COS")
-        assert result.reference == "MR-SV"
-        assert len(result.per_repeat) == 2 * 4
-        assert len(result.summary) == 4 * 4
+        per_seed = result["rank_fidelity_per_seed"]
+        assert [r[2] for r in per_seed] == ["LOO", "FP", "EE", "COS"] * 2
+        assert len(result["rank_fidelity"]) == 4 * 4
 
     def test_fp_and_ee_rank_identically(self, result):
         # EE is an affine map of FP's mass, and the normalisation removes
         # affine differences, so their fidelity rows coincide
+        means = {(m, metric): mean
+                 for m, metric, mean, _ in result["rank_fidelity"]}
         for metric in ("spearman", "kendall"):
-            assert result.mean("FP", metric) == result.mean("EE", metric)
+            assert means["FP", metric] == means["EE", metric]
 
     def test_metric_ranges(self, result):
-        for _, metric, mean, var in result.summary:
+        for _, metric, mean, var in result["rank_fidelity"]:
             if metric != "l2":
                 assert -1.0 <= mean <= 1.0
             else:
                 assert mean >= 0.0
             assert var >= 0.0
 
-    def test_mean_accessor_rejects_unknown(self, result):
-        with pytest.raises(KeyError):
-            result.mean("SV", "l2")
-
     def test_contexts_reused(self):
         sc = tiny_scenario()
         contexts = run_repeats(sc)
-        a = rank_fidelity(sc, contexts)
-        b = rank_fidelity(sc, contexts)
-        assert a.per_repeat == b.per_repeat
+        assert rank_fidelity(sc, contexts) == rank_fidelity(sc, contexts)
 
 
 class TestScoringCache:
@@ -298,9 +360,9 @@ class TestScoringCache:
                 super().__init__(config)
 
         monkeypatch.setattr(runs, "RetrainingGame", CountingGame)
-        result = rank_fidelity(sc)
-        assert built == list(result.seeds)
-        for row in result.per_repeat:
+        per_seed = table_rows(rank_fidelity(sc))["rank_fidelity_per_seed"]
+        assert built == derive_seeds(sc.master_seed, sc.repeats)
+        for row in per_seed:
             if row[2] == "SV":
                 assert row[3] == 0.0  # the method is its own reference
 
@@ -310,15 +372,23 @@ class TestAblation:
         sc = tiny_scenario(
             "\n[ablation]\naxis = round\nvalues = 1, 2\n")
         contexts = run_repeats(sc)
-        result = ablation(sc, contexts=contexts)
-        values = sorted({row[1] for row in result.rows})
+        rows = table_rows(ablation(sc, contexts=contexts))["ablation"]
+        values = sorted({row[1] for row in rows})
         assert values == [1, 2]
         # eval_round = 2 rows must equal a plain fidelity pass
-        plain = rank_fidelity(sc, contexts)
-        for method, metric, mean, _ in plain.summary:
-            match = [r for r in result.rows
+        plain = table_rows(rank_fidelity(sc, contexts))["rank_fidelity"]
+        for method, metric, mean, _ in plain:
+            match = [r for r in rows
                      if r[1] == 2 and r[2] == method and r[3] == metric]
             assert match and match[0][4] == mean
+
+    def test_client_axis_ignores_blocks_sized_for_the_base(self):
+        # Explicit weighted rates fit N = 3 only; the N = 2 variant of the
+        # client axis feeds rank fidelity and must not trip their check.
+        sc = tiny_scenario("\n[ablation]\naxis = n_clients\nvalues = 2\n"
+                           "\n[downstream.weighted]\nrates = 0.0, 0.5, 1.0\n")
+        rows = table_rows(ablation(sc))["ablation"]
+        assert {(r[0], r[1]) for r in rows} == {("n_clients", 2)}
 
     def test_missing_block_rejected(self):
         with pytest.raises(ExperimentError):
@@ -343,45 +413,45 @@ class TestWeightedAggregation:
     def test_curves_and_summary(self):
         sc = tiny_scenario("\n[downstream.weighted]\nweight_mode = cumulative\n"
                            "rates = 0.0, 0.5, 1.0\n")
-        result = weighted_aggregation(sc)
-        methods = {row[2] for row in result.curves}
+        result = table_rows(weighted_aggregation(sc))
+        curves = result["weighted_curves"]
+        methods = {row[2] for row in curves}
         assert "FedAvg" in methods
         assert {"LOO", "FP", "EE", "COS"} <= methods
-        for method, wins, repeats, *_ in result.summary:
+        for method, wins, repeats, *_ in result["weighted_summary"]:
             assert 0 <= wins <= repeats == sc.repeats
-        rounds = {row[1] for row in result.curves}
+        rounds = {row[1] for row in curves}
         assert rounds == {1, 2}
 
 
 class TestMisbehavior:
     def test_obvious_attacker_is_found(self):
         sc = tiny_scenario("\n[downstream.misbehavior]\nattacker = 0\nrate = 1.0\n")
-        result = misbehavior(sc)
-        assert result.attacker == 0
-        methods = [row[0] for row in result.summary]
+        result = table_rows(misbehavior(sc))
+        summary = result["misbehavior"]
+        methods = [row[0] for row in summary]
         assert methods == ["LOO", "FP", "EE", "COS"]
-        for row in result.summary:
+        for row in summary:
             rate = row[1]
             assert 0.0 <= rate <= 1.0
-        assert len(result.per_repeat) == sc.repeats * len(methods)
+        assert len(result["misbehavior_per_seed"]) == sc.repeats * len(methods)
 
 
 class TestInfluenceAndManipulationSummaries:
     def test_influence_summary(self):
         sc = tiny_scenario("\n[downstream.influence]\n")
         contexts = run_repeats(sc)
-        result = influence_summary(sc, contexts=contexts)
-        assert result.round == sc.eval_round
-        assert len(result.rows) == 3 * 3
-        for source, target, value in result.rows:
+        rows = table_rows(influence_summary(sc, contexts=contexts))["influence"]
+        assert len(rows) == 3 * 3
+        for source, target, value in rows:
             if source == target:
                 assert value == 0.0
 
     def test_manipulation_summary_ee_row_is_silent(self):
         sc = tiny_scenario("\n[downstream.manipulation]\n")
         contexts = run_repeats(sc)
-        result = manipulation_summary(sc, contexts=contexts)
-        ee_rows = [r for r in result.rows if r[0] == "EE"]
+        rows = table_rows(manipulation_summary(sc, contexts=contexts))
+        ee_rows = [r for r in rows["manipulation"] if r[0] == "EE"]
         assert ee_rows, "expected EE rows in the sweep"
         for _, kind, _, max_numerator_delta in ee_rows:
             assert max_numerator_delta == 0.0
@@ -415,6 +485,13 @@ class TestBundles:
         seeds = json.loads((bundle / "seeds.json").read_text())
         assert seeds["master_seed"] == 5
         assert seeds["seeds"] == derive_seeds(5, 2)
+
+    def test_rows_match_headers(self, bundle):
+        for name in json.loads((bundle / "run.json").read_text())["tables"]:
+            if name.endswith(".json"):
+                table = json.loads((bundle / "tables" / name).read_text())
+                for row in table["rows"]:
+                    assert len(row) == len(table["header"]), name
 
     def test_checksums_verify(self, bundle):
         assert verify_bundle(str(bundle)) == []
@@ -587,6 +664,14 @@ class TestCli:
                          env={"FEDSCORE_SEED": "not-a-number"})
         assert proc.returncode != 0
         assert "FEDSCORE_SEED" in proc.stderr
+
+    def test_game_client_count_out_of_range(self, tmp_path):
+        path = tmp_path / "negative.game"
+        path.write_text("-1\n0 0.0\n")
+        proc = self._run("game", "shapley", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("fedscore: error:")
+        assert "negative.game:1: table games support 1..20" in proc.stderr
 
     def test_errors_exit_one(self, tmp_path):
         proc = self._run("game", "shapley", str(tmp_path / "missing.game"))

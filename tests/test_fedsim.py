@@ -5,6 +5,8 @@ against central finite differences; the federation is mostly pinned down
 by determinism and by the aggregate identity m = m0 + sum of deltas.
 """
 
+import json
+
 import numpy as np
 import pytest
 import scipy.special
@@ -433,6 +435,28 @@ class TestArchive:
         victim.write_bytes(bytes(blob))
         with pytest.raises(ArchiveError):
             load_transcripts(tmp_path / "arc")
+
+    @pytest.mark.parametrize(
+        "key", ["n_clients", "dim", "rounds", "config_sha256", "files"])
+    def test_manifest_missing_key_named(self, key, tiny_run, tmp_path):
+        config, transcripts, _ = tiny_run
+        arc = tmp_path / "arc"
+        save_transcripts(arc, config, transcripts)
+        manifest = json.loads((arc / "manifest.json").read_text())
+        del manifest[key]
+        (arc / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArchiveError, match=f"missing key '{key}'"):
+            load_transcripts(arc)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "not a JSON object"), ("{", "not valid JSON")])
+    def test_manifest_not_an_object(self, text, problem, tiny_run, tmp_path):
+        config, transcripts, _ = tiny_run
+        arc = tmp_path / "arc"
+        save_transcripts(arc, config, transcripts)
+        (arc / "manifest.json").write_text(text)
+        with pytest.raises(ArchiveError, match=f"manifest.json: {problem}"):
+            load_transcripts(arc)
 
     def test_empty_archive_rejected(self, tiny_run, tmp_path):
         config, _, _ = tiny_run

@@ -124,6 +124,11 @@ class TestTableGame:
         with pytest.raises(GameError):
             TableGame(21, np.zeros(2**21))
 
+    @pytest.mark.parametrize("n_clients", [-1, 0, 64])
+    def test_from_values_checks_count_before_allocating(self, n_clients):
+        with pytest.raises(GameError, match="table games support 1..20"):
+            TableGame.from_values(n_clients, {})
+
 
 class TestScoreVector:
     def test_validation(self):
@@ -214,6 +219,14 @@ class TestGameFiles:
         path = tmp_path / "short.game"
         path.write_text("2\n0 0.0\n1 1.0\n2 2.0\n")
         with pytest.raises(GameError):
+            load_table_game(path)
+
+    @pytest.mark.parametrize("count", [-1, 0, 21, 64])
+    def test_client_count_out_of_range_names_line(self, count, tmp_path):
+        path = tmp_path / "big.game"
+        path.write_text(f"# header\n{count}\n0 0.0\n")
+        with pytest.raises(GameError, match=(
+                rf"big\.game:2: table games support 1\.\.20 clients, got {count}")):
             load_table_game(path)
 
     def test_empty_file_rejected(self, tmp_path):
