@@ -51,8 +51,8 @@ ABLATION_AXES = ("round", "n_clients", "mu")
 # The federation field each ablation axis but round varies.
 ABLATION_FIELDS = {"n_clients": "n_clients", "mu": "dirichlet_mu"}
 WEIGHT_MODES = ("perround", "cumulative")
-# EE-MED labels a ScoreVector but is no scenario method.
-SCORER_LABELS = tuple(m for m in METHOD_LABELS if m != "EE-MED")
+# Every score label is a method a scenario may ask for.
+SCORER_LABELS = METHOD_LABELS
 
 # True SV retrains a federation for each of the 2^N coalitions.
 TRUE_SV_MAX_CLIENTS = 9

@@ -95,6 +95,32 @@ def _round_name(index: int) -> str:
     return f"round_{index:04d}.bin"
 
 
+def _check_manifest_fields(manifest: dict) -> None:
+    for key in ("n_clients", "dim", "rounds"):
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ArchiveError(
+                f"manifest.json: {key!r} must be a positive integer, got {value!r}"
+            )
+    files = manifest["files"]
+    if not isinstance(files, dict) or not all(
+        isinstance(name, str) and isinstance(digest, str)
+        for name, digest in files.items()
+    ):
+        raise ArchiveError(
+            "manifest.json: 'files' must be an object mapping file names to checksums"
+        )
+
+
+def _read_member(dirpath, *parts: str) -> bytes:
+    name = "/".join(parts)
+    try:
+        with open(os.path.join(dirpath, *parts), "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ArchiveError(f"{name}: cannot read ({exc.strerror})") from None
+
+
 def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
     """Write an archive; the directory is created if needed."""
     transcripts = list(transcripts)
@@ -153,23 +179,21 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
     for key in _MANIFEST_KEYS:
         if key not in manifest:
             raise ArchiveError(f"manifest.json: missing key {key!r}")
+    _check_manifest_fields(manifest)
 
-    with open(os.path.join(dirpath, "config.json"), "rb") as fh:
-        config_bytes = fh.read()
+    config_bytes = _read_member(dirpath, "config.json")
     if hashlib.sha256(config_bytes).hexdigest() != manifest["config_sha256"]:
         raise ArchiveError("config.json does not match its manifest checksum")
     config = config_from_dict(json.loads(config_bytes))
     if config.n_clients != manifest["n_clients"]:
         raise ArchiveError("manifest client count disagrees with the config")
 
-    n_rounds = int(manifest["rounds"])
     transcripts = []
-    for t in range(1, n_rounds + 1):
+    for t in range(1, manifest["rounds"] + 1):
         name = _round_name(t)
         if name not in manifest["files"]:
             raise ArchiveError(f"manifest lists no checksum for {name}")
-        with open(os.path.join(dirpath, "rounds", name), "rb") as fh:
-            blob = fh.read()
+        blob = _read_member(dirpath, "rounds", name)
         if hashlib.sha256(blob).hexdigest() != manifest["files"][name]:
             raise ArchiveError(f"{name} does not match its manifest checksum")
         transcript = _parse_round_blob(blob, t, config.n_clients)

@@ -22,9 +22,8 @@ import numpy as np
 # over a million entries and "exact" stops being a desk-scale idea.
 MAX_ENUM_CLIENTS = 20
 
-# Recognised score provenance labels.  EE-MED is the median-aggregated
-# robust variant of EE; everything else is a distinct method.
-METHOD_LABELS = ("SV", "MR-SV", "LOO", "IOI", "FP", "EE", "COS", "EE-MED")
+# Recognised score provenance labels, one per method.
+METHOD_LABELS = ("SV", "MR-SV", "LOO", "IOI", "FP", "EE", "COS")
 
 
 class GameError(ValueError):

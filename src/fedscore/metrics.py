@@ -6,6 +6,10 @@ minimum to zero, then divide by the mean of the shifted vector.  A
 constant vector has nothing left after the shift and normalises to all
 zeros, flagged as degenerate; correlations against a constant vector are
 reported as 0 with the same flag rather than NaN.
+
+Spearman's average ranks are computed in numpy; they are exact halves,
+so they match ``scipy.stats.rankdata(method="average")`` bit for bit
+without making scipy a runtime dependency.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .games import ScoreVector
 
@@ -116,6 +119,18 @@ def _pearson_raw(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(xc * yc) / denom)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group given the mean of its positions."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # sorted positions where a tie group starts, plus the end
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_correlation(a, b) -> RankCorrelation:
     """All three correlation coefficients in one pass.
 
@@ -140,9 +155,7 @@ def rank_correlation(a, b) -> RankCorrelation:
     denom = float(np.sqrt(float(n0 - ties_x) * float(n0 - ties_y)))
     tau = concordant_minus_discordant / denom
 
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
-    rho = _pearson_raw(rx, ry)
+    rho = _pearson_raw(_average_ranks(x), _average_ranks(y))
 
     return RankCorrelation(
         spearman=rho,

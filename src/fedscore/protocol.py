@@ -4,8 +4,7 @@ A client influences scoring through exactly two numbers each round: the
 utility of the start model plus its own update, and the utility of the
 aggregate minus its own update.  This module models a client lying about
 them (equivalently, shipping a doctored update), quantifies how much each
-client's honest reports feed everyone else's EE mass, and provides a
-robust EE variant that swaps the mean over other clients for a median.
+client's honest reports feed everyone else's EE mass.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import GameError, ScoreVector
+from .games import GameError
 from .scoring import (
     RoundUtilities,
     ScoringError,
     _ee_masses,
     _efficient_rescale,
     _fp_masses,
-    ee,
 )
 
 _STRATEGY_KINDS = ("honest", "additive_bias", "scale", "deflate_to")
@@ -275,32 +273,3 @@ def manipulation_sweep(
         raise stop
     return rows
 
-
-def robust_ee(utilities: RoundUtilities, aggregator: str = "mean") -> ScoreVector:
-    """EE with a pluggable aggregate over the other clients' terms.
-
-    "mean" is exactly :func:`fedscore.scoring.ee`.  "median" replaces the
-    mean over the N-1 other clients with a median, which shrugs off a
-    single wild report at the cost of the exact efficiency decomposition;
-    the result is still rescaled to sum to v(grand) and labelled EE-MED.
-    """
-    if aggregator == "mean":
-        return ee(utilities)
-    if aggregator != "median":
-        raise ProtocolError(
-            f"aggregator must be 'mean' or 'median', got {aggregator!r}"
-        )
-    n = utilities.n_clients
-    if n < 3:
-        raise ProtocolError(
-            "median aggregation needs at least three clients; with fewer "
-            "the median of one term is the term itself"
-        )
-    beta_terms = utilities.v_grand - utilities.v_with
-    gamma_terms = utilities.v_without - utilities.v_empty
-    others = [np.arange(n) != i for i in range(n)]
-    # one-row stacks, as the efficiency rescale takes them
-    beta = np.array([[np.median(beta_terms[o]) for o in others]]) / (n - 1)
-    gamma = np.array([[np.median(gamma_terms[o]) for o in others]]) / (n - 1)
-    masses = {"m": (beta + gamma) / 2.0, "beta": beta, "gamma": gamma}
-    return ScoreVector("EE-MED", _efficient_rescale(masses, utilities.v_grand)[0][0])

@@ -1,4 +1,4 @@
-"""Reporting, misreports, influence accounting, and the robust EE variant.
+"""Reporting, misreports and influence accounting.
 
 The influence matrix has a sharp cross-check: column j must sum to
 exactly the EE numerator m(j), because the matrix is just that numerator
@@ -12,14 +12,12 @@ from fedscore import (
     MisreportStrategy,
     ProtocolError,
     collect_reports,
-    ee,
     ee_numerators,
     game_round_utilities,
     influence,
     influence_matrix,
     loo,
     manipulation_sweep,
-    robust_ee,
     RoundUtilities,
 )
 
@@ -156,45 +154,3 @@ class TestManipulationSweep:
         u = game_round_utilities(worked_game())
         with pytest.raises(ProtocolError):
             manipulation_sweep(u, [], scorers=("SV",))
-
-
-class TestRobustEe:
-    def test_mean_is_plain_ee(self):
-        rng = np.random.default_rng(34)
-        u = random_utilities(rng, 5)
-        a = robust_ee(u, "mean")
-        b = ee(u)
-        assert a.method == "EE"
-        assert np.array_equal(a.scores, b.scores)
-
-    def test_median_label(self):
-        rng = np.random.default_rng(35)
-        u = random_utilities(rng, 5)
-        assert robust_ee(u, "median").method == "EE-MED"
-
-    def test_median_shrugs_off_one_wild_report(self):
-        # a scale misreport leaves the two wild terms unbalanced (deflate_to
-        # would not: beta and gamma contributions of a constant report cancel
-        # in the mean), so it is the right probe for outlier robustness
-        rng = np.random.default_rng(36)
-        u = random_utilities(rng, 7)
-        honest_med = robust_ee(u, "median").scores
-        wild = collect_reports(u, [MisreportStrategy("scale", 0, 50.0)])
-        dirty_med = robust_ee(wild, "median").scores
-        dirty_mean = robust_ee(wild, "mean").scores
-        honest_mean = robust_ee(u, "mean").scores
-        med_shift = np.max(np.abs(np.delete(dirty_med - honest_med, 0)))
-        mean_shift = np.max(np.abs(np.delete(dirty_mean - honest_mean, 0)))
-        assert med_shift < mean_shift
-
-    def test_median_needs_three_clients(self):
-        rng = np.random.default_rng(37)
-        u = random_utilities(rng, 2)
-        with pytest.raises(ProtocolError, match="three"):
-            robust_ee(u, "median")
-
-    def test_unknown_aggregator_rejected(self):
-        rng = np.random.default_rng(38)
-        u = random_utilities(rng, 4)
-        with pytest.raises(ProtocolError):
-            robust_ee(u, "mode")
