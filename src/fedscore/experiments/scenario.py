@@ -36,7 +36,6 @@ the offending section.field so a typo is a one-line fix.
 
 import configparser
 import dataclasses
-import io
 from dataclasses import dataclass, field
 
 from ..fedsim import FederationConfig, SyntheticSpec, UTILITY_KINDS
@@ -448,11 +447,6 @@ def parse_scenario(source, name=None):
         raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-
-
-def parse_scenario_text(text, name="scenario"):
-    """Parse a scenario from a literal string (tests, docs)."""
-    return parse_scenario(io.StringIO(text), name=name)
 
 
 def scenario_with(scenario, **federation_overrides):

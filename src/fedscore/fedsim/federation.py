@@ -37,6 +37,7 @@ from .mlp import (
     TrainingDiverged,
     init_params,
     sgd_train,
+    sgd_train_stack,
     stack_accuracy,
     stack_mean_loss,
 )
@@ -54,8 +55,12 @@ AGGREGATION_TOL = 1e-9
 
 UTILITY_KINDS = ("accuracy", "neg_loss")
 
-# Coalition models per stacked evaluation when a round game is tabulated.
+# Coalition models per stacked evaluation when a game is tabulated.
 _TABULATION_CHUNK = 4
+
+# Coalition models per stacked SGD call when a retraining game trains its
+# coalitions in lockstep; more rows per call cost memory, not time.
+_LOCKSTEP_ROWS = 8
 
 
 class FederationError(ValueError):
@@ -387,6 +392,13 @@ class RetrainingGame:
     run) and evaluates the final model; v(empty) is the utility of the
     initial model.  Values are memoised per coalition, so asking twice is
     free and exactly reproducible.
+
+    Within a round, client i trains on the same batches in every coalition
+    that contains it; only the start model differs.  So coalitions train
+    in lockstep, round by round, the models of every coalition holding
+    client i going through stacked SGD calls, and each ends bit-identical
+    to its own ``_federate`` run.  Tabulating the oracle trains all
+    coalitions not yet memoised this way; ``value`` trains just one.
     """
 
     def __init__(self, config: FederationConfig):
@@ -409,18 +421,72 @@ class RetrainingGame:
         with self._lock:
             if coalition.mask in self._memo:
                 return self._memo[coalition.mask]
-        if coalition.mask == 0:
-            out = self._evaluator(self._m_init)
-        else:
-            transcripts = _federate(
-                self.config, self._arch, self._m_init, self._shards,
-                coalition.members,
-            )
-            out = self._evaluator(transcripts[-1].m)
-        with self._lock:
-            self._memo[coalition.mask] = out
-        return out
+        ((_, utilities),) = self._retrain([coalition.mask])
+        return float(utilities[0])
 
     def oracle(self) -> CoalitionOracle:
-        """A fresh auditing oracle over this (memoised) game."""
-        return CoalitionOracle(self.n_clients, self.value)
+        """A fresh auditing oracle over this (memoised) game; tabulating it
+        retrains every coalition not yet memoised in lockstep."""
+
+        def chunks():
+            with self._lock:
+                memo = dict(self._memo)
+            if memo:
+                yield list(memo), np.array(list(memo.values()))
+            yield from self._retrain(
+                [mask for mask in range(1 << self.n_clients) if mask not in memo]
+            )
+
+        return CoalitionOracle(self.n_clients, self.value, chunks)
+
+    def _retrain(self, masks: Sequence[int]):
+        """Train the coalitions in ``masks`` in lockstep, then yield their
+        (masks, utilities) in chunks of _TABULATION_CHUNK, memoising each.
+
+        Every coalition's round total starts at 0.0 and adds its members'
+        scaled updates in ascending client order: the sequential fold
+        ``np.sum(deltas, axis=0)`` performs in ``_federate``.
+        """
+        cfg = self.config
+        trained = [mask for mask in masks if mask]
+        models = np.tile(self._m_init.values, (len(trained), 1))
+        scales = 1.0 / np.array([mask.bit_count() for mask in trained])
+        total = np.empty_like(models)
+        for t in range(1, cfg.rounds + 1):
+            total.fill(0.0)
+            for i in range(self.n_clients):
+                rows = [k for k, mask in enumerate(trained) if mask >> i & 1]
+                for lo in range(0, len(rows), _LOCKSTEP_ROWS):
+                    chunk = rows[lo : lo + _LOCKSTEP_ROWS]
+                    start = models[chunk]
+                    try:
+                        local = sgd_train_stack(
+                            self._arch, start, self._shards[i],
+                            epochs=cfg.local_epochs,
+                            lr=cfg.lr,
+                            batch_size=cfg.batch_size,
+                            seed=[cfg.seed, _SEED_TRAIN, t, i],
+                        )
+                    except TrainingDiverged as exc:
+                        members = Coalition(trained[chunk[exc.row]]).members
+                        raise TrainingDiverged(
+                            f"client {i} diverged in round {t} in coalition "
+                            f"{members}: {exc}",
+                            round=t,
+                        ) from exc
+                    local -= start
+                    local *= scales[chunk, None]
+                    total[chunk] += local
+            models += total
+            _check_models(trained, models)
+        del total  # not needed while the chunks below are evaluated
+
+        final = dict(zip(trained, models))
+        final[0] = self._m_init.values
+        for lo in range(0, len(masks), _TABULATION_CHUNK):
+            chunk = list(masks[lo : lo + _TABULATION_CHUNK])
+            stack = np.stack([final[mask] for mask in chunk])
+            utilities = self._evaluator.evaluate_stack(stack)
+            with self._lock:
+                self._memo.update(zip(chunk, map(float, utilities)))
+            yield chunk, utilities

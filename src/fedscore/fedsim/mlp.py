@@ -31,12 +31,14 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite during local training.
 
     ``round`` is filled in by the federation loop when it knows which
-    communication round was running.
+    communication round was running; ``row`` is the diverging model's
+    index in a stacked training call.
     """
 
-    def __init__(self, message: str, round: int | None = None):
+    def __init__(self, message: str, round: int | None = None, row: int | None = None):
         super().__init__(message)
         self.round = round
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,6 @@ def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np
     return _layers(features, *_split(arch, stack))[1]
 
 
-def forward_logits(arch: MlpArch, params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return _forward_stack(arch, params.values[None], features)[0]
-
-
 def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> np.ndarray:
     """Mean softmax cross-entropy of every model in a stack."""
     logp = _log_softmax(_forward_stack(arch, stack, data.features))
@@ -202,24 +200,40 @@ def loss_and_grad(
     arch: MlpArch, params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy on a batch and its gradient as one flat vector."""
-    w1, b1, w2, b2 = unpack(arch, params)
+    grad = np.empty((1, arch.n_params))
+    loss = _stack_loss_and_grad(
+        _split(arch, params.values[None]), _split(arch, grad), features, labels
+    )
+    return float(loss[0]), grad[0]
+
+
+def _stack_loss_and_grad(params, grads, features, labels) -> np.ndarray:
+    """Mean cross-entropy on one batch of every model in a stack.
+
+    ``params`` and ``grads`` are the :func:`_split` views of a
+    (c, n_params) stack and of its gradient buffer, which is overwritten.
+    Returns the (c,) losses.  Every row goes through exactly the float
+    operations a lone model does: one GEMM per product, its loss from a
+    contiguous gather, and the bias gradients summed along the batch axis.
+    """
+    w1, b1, w2, b2 = params
+    dw1, db1, dw2, db2 = grads
     n = features.shape[0]
     hidden, logits = _layers(features, w1, b1, w2, b2)
     logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    losses = -np.ascontiguousarray(logp[:, rows, labels]).mean(axis=1)
 
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[:, rows, labels] -= 1.0
     dlogits /= n
-    dw2 = hidden.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2.T
-    dz1 = dhidden * (1.0 - hidden**2)
-    dw1 = features.T @ dz1
-    db1 = dz1.sum(axis=0)
-
-    grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-    return loss, grad
+    np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
+    dlogits.sum(axis=1, out=db2)
+    dz1 = dlogits @ w2.transpose(0, 2, 1)
+    dz1 *= 1.0 - hidden**2
+    np.matmul(features.T, dz1, out=dw1)
+    dz1.sum(axis=1, out=db1)
+    return losses
 
 
 def sgd_train(
@@ -237,23 +251,63 @@ def sgd_train(
     may be short.  epochs=0 returns the input unchanged.  Deterministic in
     (params, data, seed).  Raises TrainingDiverged on a non-finite loss.
     """
+    stack = sgd_train_stack(
+        arch, params.values[None], data, epochs, lr, batch_size, seed
+    )
+    return ModelParams(stack[0])
+
+
+def sgd_train_stack(
+    arch: MlpArch,
+    stack: np.ndarray,
+    data: LabeledDataset,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    seed,
+) -> np.ndarray:
+    """:func:`sgd_train` on every model of a (c, n_params) stack at once.
+
+    Every row trains on the same batches, drawn from ``seed`` alone, and
+    ends bit-identical to training it by itself.  Returns a new stack.
+    Raises ModelError if the stack is not finite on entry, and
+    TrainingDiverged, with ``row`` set, when a row's loss or parameters
+    become non-finite.
+    """
     if epochs < 0:
         raise ModelError(f"epochs must be nonnegative, got {epochs}")
     if lr <= 0 or batch_size < 1:
         raise ModelError(f"bad SGD settings: lr={lr} batch_size={batch_size}")
+    stack = np.array(stack, dtype=np.float64)
+    if not np.isfinite(stack).all():
+        row = _first_nonfinite_row(stack)
+        raise ModelError(f"parameters of row {row} contain non-finite values")
     rng = np.random.default_rng(seed)
-    vec = params.values.copy()
+    grad = np.empty_like(stack)
+    # Views into the two buffers, which are only ever updated in place.
+    params, grads = _split(arch, stack), _split(arch, grad)
     n = data.n_samples
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            loss, grad = loss_and_grad(
-                arch, ModelParams(vec), data.features[batch], data.labels[batch]
+            losses = _stack_loss_and_grad(
+                params, grads, data.features[batch], data.labels[batch]
             )
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"local loss became {loss!r}")
-            vec -= lr * grad
-            if not np.all(np.isfinite(vec)):
-                raise TrainingDiverged("parameters became non-finite after an update")
-    return ModelParams(vec)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                loss = float(losses[row])
+                raise TrainingDiverged(f"local loss became {loss!r}", row=row)
+            grad *= lr
+            stack -= grad
+            if not np.isfinite(stack).all():
+                raise TrainingDiverged(
+                    "parameters became non-finite after an update",
+                    row=_first_nonfinite_row(stack),
+                )
+    return stack
+
+
+def _first_nonfinite_row(stack: np.ndarray) -> int:
+    return int(np.argmin(np.isfinite(stack).all(axis=1)))

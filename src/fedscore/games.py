@@ -101,7 +101,10 @@ class CoalitionOracle:
         fn: the utility function, called with a :class:`Coalition`.
         chunks: optional batch path for :meth:`tabulate`; called with no
             arguments, it yields (masks, utilities) pairs that together
-            cover every coalition exactly once.
+            cover every coalition exactly once.  Round games use it to
+            evaluate stacked coalition models, retraining games to train
+            every coalition in lockstep; either way each utility must be
+            the one ``fn`` returns for that coalition.
     """
 
     def __init__(

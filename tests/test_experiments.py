@@ -7,6 +7,7 @@ paper-shaped scenarios are exercised by the release gate instead.
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -38,7 +39,7 @@ from fedscore.experiments import (
     influence_summary,
     manipulation_summary,
     misbehavior,
-    parse_scenario_text,
+    parse_scenario,
     rank_fidelity,
     run_repeats,
     run_scenario,
@@ -102,7 +103,7 @@ rate = 1.0
 
 
 def tiny_scenario(extra=""):
-    return parse_scenario_text(TINY_SCENARIO + extra, name="tiny")
+    return parse_scenario(io.StringIO(TINY_SCENARIO + extra), name="tiny")
 
 
 def table_rows(tables):
@@ -128,58 +129,60 @@ class TestScenarioParsing:
         text = TINY_SCENARIO.replace("n_clients = 3\n", "")
         with pytest.raises(ScenarioError,
                            match="federation.n_clients: required field is missing"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_unknown_key_named(self):
         text = TINY_SCENARIO.replace("lr = 0.1", "lr = 0.1\nmomentum = 0.9")
         with pytest.raises(ScenarioError, match="federation.momentum"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="plotting"):
-            parse_scenario_text(TINY_SCENARIO + "\n[plotting]\nstyle = dark\n")
+            parse_scenario(io.StringIO(TINY_SCENARIO + "\n[plotting]\nstyle = dark\n"),
+                           name="scenario")
 
     def test_unknown_method_rejected(self):
         text = TINY_SCENARIO.replace("LOO, FP, EE, COS", "LOO, BANZHAF")
         with pytest.raises(ScenarioError, match="BANZHAF"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_bad_reference_rounds_rejected(self):
         text = TINY_SCENARIO.replace("reference_rounds = eval",
                                      "reference_rounds = some")
         with pytest.raises(ScenarioError, match="reference_rounds"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_eval_round_out_of_range(self):
         text = TINY_SCENARIO.replace("eval_round = 2", "eval_round = 9")
         with pytest.raises(ScenarioError, match="eval_round"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_unparseable_value_names_field(self):
         text = TINY_SCENARIO.replace("rounds = 2", "rounds = two")
         with pytest.raises(ScenarioError, match="federation.rounds"):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_linear_noise_rates(self):
         text = TINY_SCENARIO.replace("utility = neg_loss",
                                      "utility = neg_loss\nnoise_rates = linear")
-        sc = parse_scenario_text(text)
+        sc = parse_scenario(io.StringIO(text), name="scenario")
         assert sc.federation.noise_rates == (0.0, 0.5, 1.0)
 
     def test_explicit_noise_rates(self):
         text = TINY_SCENARIO.replace(
             "utility = neg_loss",
             "utility = neg_loss\nnoise_rates = 0.1, 0.2, 0.3")
-        sc = parse_scenario_text(text)
+        sc = parse_scenario(io.StringIO(text), name="scenario")
         assert sc.federation.noise_rates == (0.1, 0.2, 0.3)
 
     def test_mr_sv_cap_names_n_clients(self):
         text = TINY_SCENARIO.replace("n_clients = 3", "n_clients = 13")
         with pytest.raises(ScenarioError, match=(
                 r"federation\.n_clients: MR-SV .* capped at 12 clients, got 13")):
-            parse_scenario_text(text)
-        twelve = parse_scenario_text(
-            TINY_SCENARIO.replace("n_clients = 3", "n_clients = 12"))
+            parse_scenario(io.StringIO(text), name="scenario")
+        twelve = parse_scenario(io.StringIO(
+            TINY_SCENARIO.replace("n_clients = 3", "n_clients = 12")),
+            name="scenario")
         assert twelve.federation.n_clients == 12
 
     def test_true_sv_cap_names_n_clients(self):
@@ -187,7 +190,7 @@ class TestScenarioParsing:
                 .replace("n_clients = 3", "n_clients = 10"))
         with pytest.raises(ScenarioError, match=(
                 r"federation\.n_clients: SV .* capped at 9 clients, got 10")):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     def test_true_sv_cap_names_ablation_values(self):
         text = (TINY_SCENARIO.replace("methods = LOO, FP, EE, COS",
@@ -195,7 +198,7 @@ class TestScenarioParsing:
                 + "\n[ablation]\naxis = n_clients\nvalues = 3, 10\n")
         with pytest.raises(ScenarioError, match=(
                 r"ablation\.values: SV .* capped at 9 clients, got 10")):
-            parse_scenario_text(text)
+            parse_scenario(io.StringIO(text), name="scenario")
 
     @pytest.mark.parametrize("block, field", [
         pytest.param("[downstream.misbehavior]\neval_round = 3\n",
@@ -233,14 +236,16 @@ class TestScenarioParsing:
             "utility = neg_loss\nnoise_rates = 0.1, 0.2, 0.3")
         with pytest.raises(ScenarioError, match=(
                 r"ablation\.values: noise_rates has 3 entries for 2 clients")):
-            parse_scenario_text(
-                text + "\n[ablation]\naxis = n_clients\nvalues = 2\n")
+            parse_scenario(io.StringIO(
+                text + "\n[ablation]\naxis = n_clients\nvalues = 2\n"),
+                name="scenario")
 
     def test_linear_weighted_rates_need_two_clients(self):
         text = TINY_SCENARIO.replace("n_clients = 3", "n_clients = 1")
         with pytest.raises(ScenarioError, match=(
                 r"downstream\.weighted\.rates: linear schedule needs >= 2")):
-            parse_scenario_text(text + "\n[downstream.weighted]\n")
+            parse_scenario(io.StringIO(text + "\n[downstream.weighted]\n"),
+                           name="scenario")
 
     def test_replaced_copy_is_checked(self):
         sc = tiny_scenario("\n[downstream.influence]\nround = 2\n")
@@ -351,7 +356,7 @@ class TestScoringCache:
         text = (TINY_SCENARIO.replace("methods = LOO, FP, EE, COS",
                                       "methods = LOO, SV")
                 .replace("reference = MR-SV", "reference = true-SV"))
-        sc = parse_scenario_text(text)
+        sc = parse_scenario(io.StringIO(text), name="scenario")
         built = []
 
         class CountingGame(runs.RetrainingGame):

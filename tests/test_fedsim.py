@@ -30,7 +30,6 @@ from fedscore.fedsim import (
     accuracy,
     dirichlet_partition,
     flip_labels,
-    forward_logits,
     generate_synthetic,
     iid_partition,
     init_params,
@@ -44,6 +43,7 @@ from fedscore.fedsim import (
     sgd_train,
     unpack,
 )
+from fedscore.fedsim import mlp
 from fedscore.fedsim import test_set_for as config_test_set
 
 from conftest import TINY_SPEC, tiny_config
@@ -199,7 +199,7 @@ class TestMlp:
         feats = rng.normal(size=(10, 4))
         labels = rng.integers(0, 3, size=10)
         data = LabeledDataset(feats, labels, 3)
-        logits = forward_logits(self.ARCH, params, feats)
+        logits = mlp._forward_stack(self.ARCH, params.values[None], feats)[0]
         logp = scipy.special.log_softmax(logits, axis=1)
         expect = float(-logp[np.arange(10), labels].mean())
         assert abs(mean_loss(self.ARCH, params, data) - expect) < 1e-12
@@ -234,7 +234,7 @@ class TestMlp:
         data = LabeledDataset(feats, labels, 2)
         arch = MlpArch(in_dim=2, n_classes=2)
         params = init_params(arch, seed=1)
-        logits = forward_logits(arch, params, feats)
+        logits = mlp._forward_stack(arch, params.values[None], feats)[0]
         expect = float(np.mean(np.argmax(logits, axis=1) == labels))
         assert accuracy(arch, params, data) == expect
 
