@@ -212,7 +212,13 @@ class ModelEvaluator:
 
     def evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
         """Utilities of the models in the rows of a (c, n_params) stack;
-        counts c evaluations."""
+        counts c evaluations.  Raises ModelError, counting nothing, when
+        the stack is not 2-D with one column per parameter."""
+        if stack.ndim != 2 or stack.shape[1] != self.arch.n_params:
+            raise ModelError(
+                f"model stack of shape {stack.shape} is not "
+                f"(models, {self.arch.n_params})"
+            )
         with self._lock:
             self._count += len(stack)
         if self.utility_kind == "accuracy":

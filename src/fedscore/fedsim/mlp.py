@@ -119,11 +119,6 @@ def init_params(arch: MlpArch, seed) -> ModelParams:
     return ModelParams(rng.normal(0.0, _INIT_SCALE, size=arch.n_params))
 
 
-def unpack(arch: MlpArch, params: ModelParams):
-    """Split a flat vector into (W1, b1, W2, b2) views."""
-    return _split(arch, params.values)
-
-
 def _split(arch: MlpArch, flat: np.ndarray):
     """(W1, b1, W2, b2) views of the parameters along the last axis of
     ``flat``: one model as a vector, or a (c, n_params) stack of models."""
@@ -171,12 +166,46 @@ def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np
     return _layers(features, *_split(arch, stack))[1]
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """``logits.max(axis=-1)``, bit for bit, folded over the class columns.
+
+    numpy reduces a short last axis one row at a time; K-1 elementwise
+    passes over the strided (c, n) class columns are several times
+    faster.  A max does no rounding, and ``np.maximum`` propagates NaN
+    and picks between +0.0 and -0.0 just as the reduction does, so the
+    result is exact for every K >= 2 (every architecture has two classes).
+    """
+    out = np.maximum(logits[..., 0], logits[..., 1])
+    for j in range(2, logits.shape[-1]):
+        np.maximum(out, logits[..., j], out=out)
+    return out
+
+
 def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> np.ndarray:
-    """Mean softmax cross-entropy of every model in a stack."""
-    logp = _log_softmax(_forward_stack(arch, stack, data.features))
-    # The gathered view is not contiguous, and a row mean over it sums in
-    # a different order than the mean over one model's 1-D gather.
-    picked = np.ascontiguousarray(logp[:, np.arange(data.n_samples), data.labels])
+    """Mean softmax cross-entropy of every model in a stack.
+
+    Bit-identical to gathering ``_log_softmax(logits)`` at the labels,
+    and cheaper on a test set of many samples and few classes:
+
+    * the row max goes column by column (:func:`_row_max`): a max does
+      no rounding, and numpy's row-wise reduction of the short class
+      axis costs more than the first-layer GEMM;
+    * the exp-sum stays a reduction over the class axis, because from 8
+      classes on numpy sums it pairwise, which a fold over the columns
+      would not reproduce;
+    * only the label column of the shifted logits is gathered, and the
+      log-sum-exp is subtracted from it, so the (c, n, K) log-softmax is
+      never built.
+
+    Local SGD keeps :func:`_log_softmax`: its gradient needs every class,
+    and on a 16-row batch the column max is slower than the reduction.
+    """
+    logits = _forward_stack(arch, stack, data.features)
+    shifted = logits - _row_max(logits)[..., None]
+    # The gather comes back in column order, and a row mean over it sums
+    # in a different order than the mean over one model's 1-D gather.
+    picked = np.ascontiguousarray(shifted[:, np.arange(data.n_samples), data.labels])
+    picked -= np.log(np.exp(shifted).sum(axis=-1))
     return -picked.mean(axis=1)
 
 

@@ -6,6 +6,7 @@ by determinism and by the aggregate identity m = m0 + sum of deltas.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from fedscore.fedsim import (
     run_federation,
     save_transcripts,
     sgd_train,
-    unpack,
 )
 from fedscore.fedsim import mlp
 from fedscore.fedsim import test_set_for as config_test_set
@@ -189,7 +189,7 @@ class TestMlp:
         assert np.array_equal(a.values, b.values)
 
     def test_unpack_shapes(self):
-        w1, b1, w2, b2 = unpack(self.ARCH, init_params(self.ARCH, seed=0))
+        w1, b1, w2, b2 = mlp._split(self.ARCH, init_params(self.ARCH, seed=0).values)
         assert w1.shape == (4, HIDDEN_UNITS) and b1.shape == (HIDDEN_UNITS,)
         assert w2.shape == (HIDDEN_UNITS, 3) and b2.shape == (3,)
 
@@ -345,6 +345,17 @@ class TestEvaluatorAndOracles:
         assert ev.call_count == 0
         ev(transcripts[0].m0)
         ev(transcripts[0].m)
+        assert ev.call_count == 2
+
+    def test_evaluate_stack_counts_only_well_shaped_stacks(self, tiny_run):
+        config, transcripts, test = tiny_run
+        ev = model_eval_oracle(test, "neg_loss")
+        m = transcripts[0].m0.values
+        for bad in (m, m[None, :-1], np.stack([m, m])[None]):
+            with pytest.raises(ModelError, match=re.escape(str(bad.shape))):
+                ev.evaluate_stack(bad)
+        assert ev.call_count == 0
+        ev.evaluate_stack(np.stack([m, m]))
         assert ev.call_count == 2
 
     def test_utility_kinds(self, tiny_run):
