@@ -49,6 +49,7 @@ from .scenario import (
     InfluenceBlock,
     MisbehaviorBlock,
     WeightedBlock,
+    linear_rates,
     scenario_with,
 )
 
@@ -266,10 +267,6 @@ def ablation(scenario, contexts=None):
     return [("ablation", ("axis", "value") + header, rows)]
 
 
-def _linear_rates(n):
-    return tuple(i / (n - 1) for i in range(n))
-
-
 def weights_from_scores(basis):
     """normalize -> clamp at zero -> rescale to mean 1.
 
@@ -317,7 +314,7 @@ def weighted_aggregation(scenario):
     """
     block = _block(scenario, WeightedBlock) or WeightedBlock()
     n = scenario.federation.n_clients
-    rates = block.rates if block.rates is not None else _linear_rates(n)
+    rates = block.rates if block.rates is not None else linear_rates(n)
     noisy = scenario_with(scenario, iid=True, noise_rates=rates)
     contexts = run_repeats(noisy)
     methods = tuple(m for m in scenario.methods if m != "SV")

@@ -30,15 +30,18 @@ hand-editable and diffable:
     [downstream.weighted]
     weight_mode = cumulative
 
-Unknown sections or keys are rejected, and every validation error names
-the offending section.field so a typo is a one-line fix.
+The _SECTIONS table is where a key is added: it lists each section, the
+class the section fills and a converter per key.  The classes check the
+values.  Unknown sections or keys are rejected, and every error names
+the offending section.key (or the section, for a check across fields)
+so a typo is a one-line fix.
 """
 
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..fedsim import FederationConfig, SyntheticSpec, UTILITY_KINDS
+from ..fedsim import FederationConfig, SyntheticSpec
 from ..games import METHOD_LABELS
 from ..scoring import MR_SV_MAX_CLIENTS
 
@@ -46,12 +49,12 @@ from ..scoring import MR_SV_MAX_CLIENTS
 REFERENCE_METHODS = {"MR-SV": "MR-SV", "true-SV": "SV"}
 REFERENCE_KINDS = tuple(REFERENCE_METHODS)
 REFERENCE_ROUNDS = ("eval", "all")
-ABLATION_AXES = ("round", "n_clients", "mu")
+# Each ablation axis and the type of its values.
+_AXIS_KINDS = {"round": int, "n_clients": int, "mu": float}
+ABLATION_AXES = tuple(_AXIS_KINDS)
 # The federation field each ablation axis but round varies.
 ABLATION_FIELDS = {"n_clients": "n_clients", "mu": "dirichlet_mu"}
 WEIGHT_MODES = ("perround", "cumulative")
-# Every score label is a method a scenario may ask for.
-SCORER_LABELS = METHOD_LABELS
 
 # True SV retrains a federation for each of the 2^N coalitions.
 TRUE_SV_MAX_CLIENTS = 9
@@ -60,6 +63,21 @@ _CLIENT_CAPS = {"MR-SV": MR_SV_MAX_CLIENTS, "SV": TRUE_SV_MAX_CLIENTS}
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; the message names section.field."""
+
+
+def linear_rates(n_clients):
+    """The 'linear' schedule: client i's rate is i/(N-1)."""
+    if n_clients < 2:
+        raise ValueError("linear schedule needs >= 2 clients")
+    return tuple(i / (n_clients - 1) for i in range(n_clients))
+
+
+def _convert(field, convert, *args, **kwargs):
+    """Call convert, re-raising a ValueError as a ScenarioError naming field."""
+    try:
+        return convert(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}") from None
 
 
 def _check_round(field, rnd, rounds):
@@ -89,13 +107,14 @@ class WeightedBlock:
     rates: tuple | None = None  # None -> linear i/(N-1)
 
     def validate(self, federation):
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ScenarioError(
+                f"downstream.weighted.weight_mode: {self.weight_mode!r} not "
+                f"one of {WEIGHT_MODES}"
+            )
         n = federation.n_clients
         if self.rates is None:
-            if n < 2:
-                raise ScenarioError(
-                    "downstream.weighted.rates: linear schedule needs >= 2 "
-                    "clients"
-                )
+            _convert("downstream.weighted.rates", linear_rates, n)
             return
         if len(self.rates) != n:
             raise ScenarioError(
@@ -179,10 +198,10 @@ class Scenario:
                 f"not one of {REFERENCE_ROUNDS}"
             )
         for m in self.methods:
-            if m not in SCORER_LABELS:
+            if m not in METHOD_LABELS:
                 raise ScenarioError(
                     f"scenario.methods: unknown method {m!r}, expected "
-                    f"{SCORER_LABELS}"
+                    f"{METHOD_LABELS}"
                 )
         if not self.methods:
             raise ScenarioError("scenario.methods: at least one method")
@@ -222,66 +241,87 @@ class Scenario:
                 )
 
 
-_SCENARIO_KEYS = {
-    "name", "repeats", "master_seed", "methods", "reference",
-    "reference_rounds", "eval_round",
-}
-_FEDERATION_KEYS = {
-    "n_clients", "rounds", "dirichlet_mu", "iid", "local_epochs", "lr",
-    "batch_size", "utility", "noise_rates", "flip_target",
-}
-_DATA_KEYS = {
-    "n_classes", "dim", "samples_per_client", "test_samples_per_class",
-    "separation",
-}
-_BLOCK_KEYS = {
-    "ablation": {"axis", "values"},
-    "downstream.weighted": {"weight_mode", "rates"},
-    "downstream.misbehavior": {"attacker", "rate", "eval_round"},
-    "downstream.influence": {"round"},
-    "downstream.manipulation": set(),
+def _bool(raw):
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _items(kind):
+    """Converter for a comma list; blank items are dropped."""
+    return lambda raw: tuple(
+        kind(s.strip()) for s in raw.split(",") if s.strip()
+    )
+
+
+def _rates(raw):
+    """One rate per client, or None for the 'linear' schedule."""
+    if raw.strip().lower() == "linear":
+        return None
+    rates = _items(float)(raw)
+    if not rates:
+        raise ValueError("empty list")
+    return rates
+
+
+# Every section of a scenario file: the class it fills and, for each key,
+# the converter from text.  A key is added here and to its class; the
+# class checks the converted values.
+_SECTIONS = {
+    "scenario": (Scenario, {
+        "name": str.strip, "repeats": int, "master_seed": int,
+        "methods": _items(str), "reference": str.strip,
+        "reference_rounds": str.strip, "eval_round": int,
+    }),
+    "federation": (FederationConfig, {
+        "n_clients": int, "rounds": int, "dirichlet_mu": float,
+        "iid": _bool, "local_epochs": int, "lr": float, "batch_size": int,
+        "utility": str.strip, "noise_rates": _rates, "flip_target": int,
+    }),
+    "data": (SyntheticSpec, {
+        "n_classes": int, "dim": int, "samples_per_client": int,
+        "test_samples_per_class": int, "separation": float,
+    }),
+    # values are converted once the axis is known.
+    "ablation": (AblationBlock, {"axis": str.strip, "values": str}),
+    "downstream.weighted": (WeightedBlock, {
+        "weight_mode": str.strip, "rates": _rates,
+    }),
+    "downstream.misbehavior": (MisbehaviorBlock, {
+        "attacker": int, "rate": float, "eval_round": int,
+    }),
+    "downstream.influence": (InfluenceBlock, {"round": int}),
+    "downstream.manipulation": (ManipulationBlock, {}),
 }
 
 
-def _check_keys(section, present, allowed):
-    for key in present:
-        if key not in allowed:
+def _read(parser, section, **given):
+    """Keyword arguments for a section's class: given, then its keys.
+
+    An absent section reads as empty.  Unknown keys, fields of the class
+    that have no default and are not supplied, and values that do not
+    convert are each rejected naming section.key.
+    """
+    cls, converters = _SECTIONS[section]
+    raw = dict(parser.items(section)) if parser.has_section(section) else {}
+    for key in raw:
+        if key not in converters:
             raise ScenarioError(
                 f"{section}.{key}: unknown key (allowed: "
-                f"{', '.join(sorted(allowed)) or 'none'})"
+                f"{', '.join(sorted(converters)) or 'none'})"
             )
-
-
-def _conv(section, key, raw, kind):
-    """Convert one raw string value, naming the field on failure."""
-    try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{section}.{key}: {exc}") from None
-
-
-def _float_list(section, key, raw):
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ScenarioError(f"{section}.{key}: empty list")
-    return tuple(_conv(section, key, s, float) for s in items)
-
-
-def _parse_noise(section, raw, n_clients):
-    if raw.strip().lower() == "linear":
-        if n_clients < 2:
-            raise ScenarioError(
-                f"{section}.noise_rates: linear schedule needs >= 2 clients"
-            )
-        return tuple(i / (n_clients - 1) for i in range(n_clients))
-    return _float_list(section, "noise_rates", raw)
+    for f in dataclasses.fields(cls):
+        if (f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING
+                and f.name not in raw and f.name not in given):
+            raise ScenarioError(f"{section}.{f.name}: required field is missing")
+    kwargs = dict(given)
+    for key, value in raw.items():
+        kwargs[key] = _convert(f"{section}.{key}", converters[key], value)
+    return kwargs
 
 
 def parse_scenario(source, name=None):
@@ -302,151 +342,46 @@ def parse_scenario(source, name=None):
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
 
-    known = {"scenario", "federation", "data"} | set(_BLOCK_KEYS)
     for section in parser.sections():
-        if section not in known:
+        if section not in _SECTIONS:
             raise ScenarioError(
                 f"{section}: unknown section (allowed: "
-                f"{', '.join(sorted(known))})"
+                f"{', '.join(sorted(_SECTIONS))})"
             )
-
     if not parser.has_section("federation"):
         raise ScenarioError("federation: required section is missing")
-    fed_raw = dict(parser.items("federation"))
-    _check_keys("federation", fed_raw, _FEDERATION_KEYS)
-    for required in ("n_clients", "rounds"):
-        if required not in fed_raw:
-            raise ScenarioError(
-                f"federation.{required}: required field is missing"
-            )
 
-    n_clients = _conv("federation", "n_clients", fed_raw["n_clients"], int)
-    fed_kwargs = {"n_clients": n_clients}
-    for key, kind in (("rounds", int), ("dirichlet_mu", float),
-                      ("iid", bool), ("local_epochs", int), ("lr", float),
-                      ("batch_size", int), ("flip_target", int)):
-        if key in fed_raw:
-            fed_kwargs[key] = _conv("federation", key, fed_raw[key], kind)
-    if "utility" in fed_raw:
-        utility = fed_raw["utility"].strip()
-        if utility not in UTILITY_KINDS:
-            raise ScenarioError(
-                f"federation.utility: {utility!r} not one of {UTILITY_KINDS}"
-            )
-        fed_kwargs["utility_kind"] = utility
-    if "noise_rates" in fed_raw:
-        fed_kwargs["noise_rates"] = _parse_noise(
-            "federation", fed_raw["noise_rates"], n_clients
-        )
-
-    if parser.has_section("data"):
-        data_raw = dict(parser.items("data"))
-        _check_keys("data", data_raw, _DATA_KEYS)
-        data_kwargs = {}
-        for key, kind in (("n_classes", int), ("dim", int),
-                          ("samples_per_client", int),
-                          ("test_samples_per_class", int),
-                          ("separation", float)):
-            if key in data_raw:
-                data_kwargs[key] = _conv("data", key, data_raw[key], kind)
-        fed_kwargs["dataset"] = SyntheticSpec(**data_kwargs)
-
-    try:
-        federation = FederationConfig(**fed_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"federation: {exc}") from exc
-
-    scen_kwargs = {}
-    if parser.has_section("scenario"):
-        scen_raw = dict(parser.items("scenario"))
-        _check_keys("scenario", scen_raw, _SCENARIO_KEYS)
-        if "name" in scen_raw:
-            scen_kwargs["name"] = scen_raw["name"].strip()
-        for key, kind in (("repeats", int), ("master_seed", int),
-                          ("eval_round", int)):
-            if key in scen_raw:
-                scen_kwargs[key] = _conv("scenario", key, scen_raw[key], kind)
-        if "methods" in scen_raw:
-            scen_kwargs["methods"] = tuple(
-                s.strip() for s in scen_raw["methods"].split(",") if s.strip()
-            )
-        for key in ("reference", "reference_rounds"):
-            if key in scen_raw:
-                scen_kwargs[key] = scen_raw[key].strip()
-    if "name" not in scen_kwargs:
-        scen_kwargs["name"] = name if name is not None else "scenario"
+    # The text format's own spellings: the utility key, the linear
+    # noise schedule, and ablation values typed by their axis.
+    fed = _read(parser, "federation", dataset=_convert(
+        "data", SyntheticSpec, **_read(parser, "data")))
+    if "utility" in fed:
+        fed["utility_kind"] = fed.pop("utility")
+    if "noise_rates" in fed and fed["noise_rates"] is None:
+        fed["noise_rates"] = _convert("federation.noise_rates", linear_rates,
+                                      fed["n_clients"])
 
     ablation = None
     if parser.has_section("ablation"):
-        raw = dict(parser.items("ablation"))
-        _check_keys("ablation", raw, _BLOCK_KEYS["ablation"])
-        if "axis" not in raw:
-            raise ScenarioError("ablation.axis: required field is missing")
-        axis = raw["axis"].strip()
-        if "values" not in raw:
-            raise ScenarioError("ablation.values: required field is missing")
+        block = _read(parser, "ablation")
         # Scenario names an unknown axis; its values stay strings.
-        kind = {"round": int, "n_clients": int, "mu": float}.get(axis, str)
-        values = tuple(
-            _conv("ablation", "values", s.strip(), kind)
-            for s in raw["values"].split(",") if s.strip()
-        )
-        ablation = AblationBlock(axis=axis, values=values)
+        kind = _AXIS_KINDS.get(block["axis"], str)
+        ablation = AblationBlock(block["axis"], _convert(
+            "ablation.values", _items(kind), block["values"]))
 
-    downstream = []
-    if parser.has_section("downstream.weighted"):
-        raw = dict(parser.items("downstream.weighted"))
-        _check_keys("downstream.weighted", raw,
-                    _BLOCK_KEYS["downstream.weighted"])
-        mode = raw.get("weight_mode", "cumulative").strip()
-        if mode not in WEIGHT_MODES:
-            raise ScenarioError(
-                f"downstream.weighted.weight_mode: {mode!r} not one of "
-                f"{WEIGHT_MODES}"
-            )
-        rates = None
-        if "rates" in raw and raw["rates"].strip().lower() != "linear":
-            rates = _float_list("downstream.weighted", "rates", raw["rates"])
-        downstream.append(WeightedBlock(weight_mode=mode, rates=rates))
-    if parser.has_section("downstream.misbehavior"):
-        raw = dict(parser.items("downstream.misbehavior"))
-        _check_keys("downstream.misbehavior", raw,
-                    _BLOCK_KEYS["downstream.misbehavior"])
-        downstream.append(MisbehaviorBlock(
-            attacker=_conv("downstream.misbehavior", "attacker",
-                           raw.get("attacker", "0"), int),
-            rate=_conv("downstream.misbehavior", "rate",
-                       raw.get("rate", "1.0"), float),
-            eval_round=(
-                _conv("downstream.misbehavior", "eval_round",
-                      raw["eval_round"], int)
-                if "eval_round" in raw else None
-            ),
-        ))
-    if parser.has_section("downstream.influence"):
-        raw = dict(parser.items("downstream.influence"))
-        _check_keys("downstream.influence", raw,
-                    _BLOCK_KEYS["downstream.influence"])
-        downstream.append(InfluenceBlock(
-            round=_conv("downstream.influence", "round", raw["round"], int)
-            if "round" in raw else None
-        ))
-    if parser.has_section("downstream.manipulation"):
-        raw = dict(parser.items("downstream.manipulation"))
-        _check_keys("downstream.manipulation", raw, set())
-        downstream.append(ManipulationBlock())
-
-    try:
-        return Scenario(
-            federation=federation,
-            ablation=ablation,
-            downstream=tuple(downstream),
-            **scen_kwargs,
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    # Downstream blocks keep table order, whatever their file order.
+    downstream = tuple(
+        cls(**_read(parser, section))
+        for section, (cls, _) in _SECTIONS.items()
+        if section.startswith("downstream.") and parser.has_section(section)
+    )
+    return Scenario(**_read(
+        parser, "scenario",
+        name=name if name is not None else "scenario",
+        federation=_convert("federation", FederationConfig, **fed),
+        ablation=ablation,
+        downstream=downstream,
+    ))
 
 
 def scenario_with(scenario, **federation_overrides):

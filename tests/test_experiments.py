@@ -10,11 +10,14 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedscore import (
     cos_accumulated,
@@ -33,6 +36,7 @@ from fedscore.experiments import (
     ExperimentError,
     Scenario,
     ScenarioError,
+    WeightedBlock,
     ablation,
     audited_round_utilities,
     derive_seeds,
@@ -104,6 +108,44 @@ rate = 1.0
 
 def tiny_scenario(extra=""):
     return parse_scenario(io.StringIO(TINY_SCENARIO + extra), name="tiny")
+
+
+# Scenario fuzzing: one change to the full tiny scenario per example.
+FUZZ_LINES = (TINY_SCENARIO + DOWNSTREAM_BLOCKS).splitlines()
+FUZZ_SECTIONS = [l[1:-1] for l in FUZZ_LINES if l.startswith("[")]
+FUZZ_KEYS = {l.split(" = ")[0] for l in FUZZ_LINES if " = " in l}
+FUZZ_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+            max_size=12),
+    st.integers().map(str),
+    st.floats().map(str),
+    st.sampled_from(["", "linear", "LINEAR", "nan"]),
+)
+FUZZ_NAMES = st.from_regex(r"[a-z_.]{1,12}", fullmatch=True)
+
+
+def fuzz_text(index, line):
+    lines = list(FUZZ_LINES)
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+FUZZED_SCENARIOS = st.one_of(
+    # one key's value replaced
+    st.builds(lambda i, v: fuzz_text(i, f"{FUZZ_LINES[i].split(' = ')[0]} = {v}"),
+              st.sampled_from([i for i, l in enumerate(FUZZ_LINES)
+                               if " = " in l]),
+              FUZZ_VALUES),
+    # an unknown key added to one section
+    st.builds(lambda i, k, v: fuzz_text(i, f"{FUZZ_LINES[i]}\n{k} = {v}"),
+              st.sampled_from([i for i, l in enumerate(FUZZ_LINES)
+                               if l.startswith("[")]),
+              FUZZ_NAMES.filter(lambda k: k not in FUZZ_KEYS),
+              FUZZ_VALUES),
+    # an unknown section added
+    st.builds(lambda s: fuzz_text(0, f"[{s}]\n{FUZZ_LINES[0]}"),
+              FUZZ_NAMES.filter(lambda s: s not in FUZZ_SECTIONS)),
+)
 
 
 def table_rows(tables):
@@ -261,6 +303,44 @@ class TestScenarioParsing:
     def test_unknown_ablation_axis_named(self):
         with pytest.raises(ScenarioError, match="ablation.axis: 'seed'"):
             tiny_scenario("\n[ablation]\naxis = seed\nvalues = 0.5\n")
+
+    @pytest.mark.parametrize("line, fault, message", [
+        ("n_classes = 3", "n_classes = 1",
+         r"data: need at least two classes, got 1"),
+        ("dim = 6", "dim = 0", r"data: feature dimension must be positive"),
+        ("samples_per_client = 12", "samples_per_client = 0",
+         r"data: samples_per_client must be positive"),
+        ("test_samples_per_class = 20", "test_samples_per_class = 0",
+         r"data: test_samples_per_class must be positive"),
+        ("separation = 1.0", "separation = -1",
+         r"data: separation must be positive, got -1\.0"),
+    ])
+    def test_data_fault_names_section(self, line, fault, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(io.StringIO(TINY_SCENARIO.replace(line, fault)),
+                           name="scenario")
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_names_federation(self, lr):
+        text = TINY_SCENARIO.replace("lr = 0.1", f"lr = {lr}")
+        with pytest.raises(ScenarioError, match=rf"federation: .*lr={lr}"):
+            parse_scenario(io.StringIO(text), name="scenario")
+
+    def test_weight_mode_checked_on_copies(self):
+        with pytest.raises(ScenarioError, match=(
+                r"downstream\.weighted\.weight_mode: 'bogus' not one of")):
+            dataclasses.replace(tiny_scenario(), downstream=(
+                WeightedBlock(weight_mode="bogus"),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(FUZZED_SCENARIOS)
+    def test_fuzzed_scenario_parses_or_names_a_section(self, text):
+        try:
+            parse_scenario(io.StringIO(text), name="fuzz")
+        except ScenarioError as exc:
+            sections = re.findall(r"^\[(.+)\]$", text, flags=re.M)
+            named = "|".join(map(re.escape, sections))
+            assert re.match(rf"({named})(\.[^\s:]+)?: ", str(exc)), str(exc)
 
     def test_scenario_with_overrides_federation(self):
         sc = tiny_scenario()

@@ -337,6 +337,11 @@ class TestFederation:
         with pytest.raises(FederationError):
             tiny_config(utility_kind="f1")
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(FederationError, match=f"lr={lr}"):
+            tiny_config(lr=lr)
+
 
 class TestEvaluatorAndOracles:
     def test_evaluator_counts_calls(self, tiny_run):
