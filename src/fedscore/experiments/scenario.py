@@ -42,6 +42,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..fedsim import FederationConfig, SyntheticSpec
+from ..fedsim.federation import TRUE_SV_MAX_CLIENTS
 from ..games import METHOD_LABELS
 from ..scoring import MR_SV_MAX_CLIENTS
 
@@ -56,8 +57,6 @@ ABLATION_AXES = tuple(_AXIS_KINDS)
 ABLATION_FIELDS = {"n_clients": "n_clients", "mu": "dirichlet_mu"}
 WEIGHT_MODES = ("perround", "cumulative")
 
-# True SV retrains a federation for each of the 2^N coalitions.
-TRUE_SV_MAX_CLIENTS = 9
 _CLIENT_CAPS = {"MR-SV": MR_SV_MAX_CLIENTS, "SV": TRUE_SV_MAX_CLIENTS}
 
 
@@ -330,7 +329,9 @@ def parse_scenario(source, name=None):
     Returns a Scenario.  Raises ScenarioError with a section.field
     diagnostic on any problem.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # A section header is never empty, so no header names the default
+    # section, and [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         if hasattr(source, "read"):
             parser.read_file(source)

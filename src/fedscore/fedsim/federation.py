@@ -62,6 +62,9 @@ _TABULATION_CHUNK = 4
 # coalitions in lockstep; more rows per call cost memory, not time.
 _LOCKSTEP_ROWS = 8
 
+# True SV retrains a federation for each of the 2^N coalitions.
+TRUE_SV_MAX_CLIENTS = 9
+
 
 class FederationError(ValueError):
     """Invalid federation configuration or transcript."""
@@ -180,12 +183,6 @@ class RoundTranscript:
     def dim(self) -> int:
         return self.m0.dim
 
-    def update_for(self, client: int) -> ClientUpdate:
-        for u in self.updates:
-            if u.client == client:
-                return u
-        raise FederationError(f"no update from client {client} in round {self.round}")
-
 
 class ModelEvaluator:
     """Fixed-test-set utility v(model); counts every evaluation.
@@ -261,8 +258,7 @@ def round_oracle(
     chunks = None
     if isinstance(evaluator, ModelEvaluator):
         def chunks():
-            for masks, stack in _coalition_model_chunks(transcript):
-                yield masks, evaluator.evaluate_stack(stack)
+            return _evaluate_chunks(evaluator, _coalition_models(transcript))
 
     return CoalitionOracle(transcript.n_clients, value, chunks)
 
@@ -294,15 +290,15 @@ def _coalition_models(transcript: RoundTranscript):
         todo.extend((mask, model, k) for k in reversed(range(j + 1, n)))
 
 
-def _coalition_model_chunks(transcript: RoundTranscript):
-    """The coalition models in (masks, stack) chunks of _TABULATION_CHUNK,
-    each checked finite before it is evaluated."""
-    models = _coalition_models(transcript)
+def _evaluate_chunks(evaluator: ModelEvaluator, models):
+    """Yield (masks, utilities) for an iterator of (mask, model) pairs,
+    stacking _TABULATION_CHUNK models per evaluation, each stack checked
+    finite before it is evaluated."""
     while chunk := list(itertools.islice(models, _TABULATION_CHUNK)):
         masks = [mask for mask, _ in chunk]
         stack = np.stack([model for _, model in chunk])
         _check_models(masks, stack)
-        yield masks, stack
+        yield masks, evaluator.evaluate_stack(stack)
 
 
 def _noisy_shards(config: FederationConfig, shards: list[LabeledDataset]) -> list[LabeledDataset]:
@@ -368,7 +364,8 @@ def _federate(
                 raise TrainingDiverged(
                     f"client {i} diverged in round {t}: {exc}", round=t
                 ) from exc
-            updates.append(ClientUpdate(client=i, delta=(local - m0).scale(scale)))
+            delta = ModelParams((local.values - m0.values) * scale)
+            updates.append(ClientUpdate(client=i, delta=delta))
         m = ModelParams(m0.values + np.sum([u.delta.values for u in updates], axis=0))
         transcripts.append(RoundTranscript(round=t, m0=m0, updates=tuple(updates), m=m))
         m0 = m
@@ -396,23 +393,25 @@ class RetrainingGame:
     v(S) trains a fresh federation restricted to the members of S (same
     data shards, same init, same per-client training streams as the full
     run) and evaluates the final model; v(empty) is the utility of the
-    initial model.  Values are memoised per coalition, so asking twice is
-    free and exactly reproducible.
+    initial model.  Nothing is memoised: the experiment runs cache each
+    repeat's SV, so no value is asked for twice.  More than
+    ``TRUE_SV_MAX_CLIENTS`` clients are refused before anything trains.
 
     Within a round, client i trains on the same batches in every coalition
     that contains it; only the start model differs.  So coalitions train
     in lockstep, round by round, the models of every coalition holding
     client i going through stacked SGD calls, and each ends bit-identical
-    to its own ``_federate`` run.  Tabulating the oracle trains all
-    coalitions not yet memoised this way; ``value`` trains just one.
+    to its own ``_federate`` run.  Tabulating the oracle trains all 2^N
+    coalitions this way; ``value`` trains just one.
     """
 
     def __init__(self, config: FederationConfig):
+        if config.n_clients > TRUE_SV_MAX_CLIENTS:
+            raise FederationError(f"true SV is capped at {TRUE_SV_MAX_CLIENTS} "
+                                  f"clients, got {config.n_clients}")
         self.config = config
         self._shards, test, self._arch, self._m_init = _prepare(config)
         self._evaluator = ModelEvaluator(self._arch, test, config.utility_kind)
-        self._memo: dict[int, float] = {}
-        self._lock = threading.Lock()
 
     @property
     def n_clients(self) -> int:
@@ -424,30 +423,20 @@ class RetrainingGame:
                 f"coalition {coalition.members} out of range for "
                 f"{self.n_clients} clients"
             )
-        with self._lock:
-            if coalition.mask in self._memo:
-                return self._memo[coalition.mask]
         ((_, utilities),) = self._retrain([coalition.mask])
         return float(utilities[0])
 
     def oracle(self) -> CoalitionOracle:
-        """A fresh auditing oracle over this (memoised) game; tabulating it
-        retrains every coalition not yet memoised in lockstep."""
-
-        def chunks():
-            with self._lock:
-                memo = dict(self._memo)
-            if memo:
-                yield list(memo), np.array(list(memo.values()))
-            yield from self._retrain(
-                [mask for mask in range(1 << self.n_clients) if mask not in memo]
-            )
-
-        return CoalitionOracle(self.n_clients, self.value, chunks)
+        """A fresh auditing oracle over this game; tabulating it retrains
+        every coalition in lockstep."""
+        return CoalitionOracle(
+            self.n_clients, self.value,
+            lambda: self._retrain(range(1 << self.n_clients)),
+        )
 
     def _retrain(self, masks: Sequence[int]):
         """Train the coalitions in ``masks`` in lockstep, then yield their
-        (masks, utilities) in chunks of _TABULATION_CHUNK, memoising each.
+        (masks, utilities) in evaluated chunks.
 
         Every coalition's round total starts at 0.0 and adds its members'
         scaled updates in ascending client order: the sequential fold
@@ -489,10 +478,6 @@ class RetrainingGame:
 
         final = dict(zip(trained, models))
         final[0] = self._m_init.values
-        for lo in range(0, len(masks), _TABULATION_CHUNK):
-            chunk = list(masks[lo : lo + _TABULATION_CHUNK])
-            stack = np.stack([final[mask] for mask in chunk])
-            utilities = self._evaluator.evaluate_stack(stack)
-            with self._lock:
-                self._memo.update(zip(chunk, map(float, utilities)))
-            yield chunk, utilities
+        yield from _evaluate_chunks(
+            self._evaluator, ((mask, final[mask]) for mask in masks)
+        )

@@ -45,9 +45,8 @@ class TrainingDiverged(RuntimeError):
 class ModelParams:
     """A flat, immutable float64 parameter vector.
 
-    Supports the vector arithmetic federated aggregation needs: addition,
-    subtraction, and scalar scaling.  Every operation validates finiteness
-    so a diverged model cannot propagate silently.
+    Construction validates finiteness, so a diverged model cannot
+    propagate silently; aggregation works on ``values`` directly.
     """
 
     values: np.ndarray
@@ -65,28 +64,6 @@ class ModelParams:
     @property
     def dim(self) -> int:
         return int(self.values.size)
-
-    def __add__(self, other: "ModelParams") -> "ModelParams":
-        self._check_peer(other)
-        return ModelParams(self.values + other.values)
-
-    def __sub__(self, other: "ModelParams") -> "ModelParams":
-        self._check_peer(other)
-        return ModelParams(self.values - other.values)
-
-    def scale(self, factor: float) -> "ModelParams":
-        return ModelParams(self.values * float(factor))
-
-    def __mul__(self, factor: float) -> "ModelParams":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def _check_peer(self, other: "ModelParams") -> None:
-        if not isinstance(other, ModelParams):
-            raise ModelError(f"expected ModelParams, got {type(other).__name__}")
-        if other.dim != self.dim:
-            raise ModelError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
 @dataclass(frozen=True)

@@ -131,19 +131,22 @@ class EeNumerators:
         return (self.beta + self.gamma) / 2.0
 
 
+def _probe_set(n: int, value: Callable[[Coalition], float]) -> RoundUtilities:
+    """The 2N+2 utilities secure aggregation exposes, from exactly 2N+2
+    calls of ``value`` in this order: the empty coalition, the grand
+    coalition, each singleton, each drop-one coalition."""
+    grand = Coalition.grand(n)
+    v_empty = value(Coalition(0))
+    v_grand = value(grand)
+    v_with = np.array([value(Coalition.of([i])) for i in range(n)])
+    v_without = np.array([value(grand.remove(i)) for i in range(n)])
+    return RoundUtilities(v_empty, v_grand, v_with, v_without)
+
+
 def game_round_utilities(game: TableGame) -> RoundUtilities:
     """The secure-aggregation view of an explicit game: empty, grand,
     singletons, and drop-one coalitions."""
-    n = game.n_clients
-    grand = Coalition.grand(n)
-    v_with = np.array([game.value(Coalition.of([i])) for i in range(n)])
-    v_without = np.array([game.value(grand.remove(i)) for i in range(n)])
-    return RoundUtilities(
-        v_empty=game.value(Coalition(0)),
-        v_grand=game.value(grand),
-        v_with=v_with,
-        v_without=v_without,
-    )
+    return _probe_set(game.n_clients, game.value)
 
 
 def loo(utilities: RoundUtilities) -> ScoreVector:
@@ -303,14 +306,7 @@ def utilities_from_transcript(
     Evaluates, in order: the empty coalition, the grand coalition, each
     singleton, each drop-one coalition.  Exactly 2N+2 oracle calls.
     """
-    oracle = round_oracle(transcript, evaluator)
-    n = transcript.n_clients
-    grand = Coalition.grand(n)
-    v_empty = oracle.evaluate(Coalition(0))
-    v_grand = oracle.evaluate(grand)
-    v_with = np.array([oracle.evaluate(Coalition.of([i])) for i in range(n)])
-    v_without = np.array([oracle.evaluate(grand.remove(i)) for i in range(n)])
-    return RoundUtilities(v_empty, v_grand, v_with, v_without)
+    return _probe_set(transcript.n_clients, round_oracle(transcript, evaluator).evaluate)
 
 
 def _round_shapley(transcript: RoundTranscript, evaluator: Callable) -> np.ndarray:
@@ -401,6 +397,7 @@ def scores_to_csv(vectors: Sequence[ScoreVector], out) -> None:
 
 
 def scores_from_csv(path) -> list[ScoreVector]:
+    """Read a scores_to_csv table; a bad row is a ScoringError naming path:line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -414,13 +411,16 @@ def scores_from_csv(path) -> list[ScoreVector]:
         for row in reader:
             if not row:
                 continue
-            if len(row) != n + 2:
-                raise ScoringError(f"{path}: row width {len(row)} != {n + 2}")
-            out.append(
-                ScoreVector(
-                    method=row[0],
-                    round=None if row[1] == "" else int(row[1]),
-                    scores=np.array([float(v) for v in row[2:]]),
+            try:  # every error below is a ValueError, GameError included
+                if len(row) != n + 2:
+                    raise ScoringError(f"row width {len(row)} != {n + 2}")
+                out.append(
+                    ScoreVector(
+                        method=row[0],
+                        round=None if row[1] == "" else int(row[1]),
+                        scores=np.array([float(v) for v in row[2:]]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ScoringError(f"{path}:{reader.line_num}: {exc}") from None
     return out

@@ -183,6 +183,13 @@ class TestScenarioParsing:
             parse_scenario(io.StringIO(TINY_SCENARIO + "\n[plotting]\nstyle = dark\n"),
                            name="scenario")
 
+    @pytest.mark.parametrize("key", ["foo = 1", "repeats = 2"])
+    def test_default_section_is_an_unknown_section(self, key):
+        # configparser would otherwise merge [DEFAULT] into every section
+        text = TINY_SCENARIO + f"\n[DEFAULT]\n{key}\n"
+        with pytest.raises(ScenarioError, match=r"^DEFAULT: unknown section"):
+            parse_scenario(io.StringIO(text), name="scenario")
+
     def test_unknown_method_rejected(self):
         text = TINY_SCENARIO.replace("LOO, FP, EE, COS", "LOO, BANZHAF")
         with pytest.raises(ScenarioError, match="BANZHAF"):

@@ -43,7 +43,9 @@ from fedscore.fedsim import (
     save_transcripts,
     sgd_train,
 )
-from fedscore.fedsim import mlp
+from fedscore import experiments
+from fedscore.fedsim import federation, mlp
+from fedscore.fedsim.federation import TRUE_SV_MAX_CLIENTS
 from fedscore.fedsim import test_set_for as config_test_set
 
 from conftest import TINY_SPEC, tiny_config
@@ -158,13 +160,6 @@ class TestLabelFlips:
 
 
 class TestModelParams:
-    def test_arithmetic(self):
-        a = ModelParams(np.array([1.0, 2.0]))
-        b = ModelParams(np.array([0.5, -1.0]))
-        assert np.array_equal((a + b).values, [1.5, 1.0])
-        assert np.array_equal((a - b).values, [0.5, 3.0])
-        assert np.array_equal(a.scale(2.0).values, [2.0, 4.0])
-
     def test_non_finite_rejected(self):
         with pytest.raises(ModelError):
             ModelParams(np.array([1.0, np.nan]))
@@ -318,13 +313,6 @@ class TestFederation:
         with pytest.raises(FederationError):
             RoundTranscript(round=t.round, m0=t.m0, updates=t.updates, m=broken)
 
-    def test_update_for(self, tiny_run):
-        _, transcripts, _ = tiny_run
-        t = transcripts[0]
-        assert t.update_for(1) is t.updates[1]
-        with pytest.raises(FederationError):
-            t.update_for(99)
-
     def test_config_validation(self):
         with pytest.raises(FederationError):
             tiny_config(n_clients=0)
@@ -391,15 +379,6 @@ class TestEvaluatorAndOracles:
 
 
 class TestRetrainingGame:
-    def test_memoises_values(self):
-        game = RetrainingGame(tiny_config(rounds=1))
-        coalition = Coalition.of([0, 2])
-        first = game.value(coalition)
-        calls_after_first = game._evaluator.call_count
-        second = game.value(coalition)
-        assert first == second
-        assert game._evaluator.call_count == calls_after_first
-
     def test_empty_coalition_scores_initial_model(self):
         game = RetrainingGame(tiny_config(rounds=1))
         v0 = game.value(Coalition(0))
@@ -424,7 +403,20 @@ class TestRetrainingGame:
         oracle = game.oracle()
         oracle.evaluate(Coalition.of([1]))
         oracle.evaluate(Coalition.of([1]))
-        assert oracle.call_count == 2  # the audit counts, the training does not
+        assert oracle.call_count == 2  # the audit counts every call
+
+    def test_client_cap_checked_before_training(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated past the cap")
+
+        monkeypatch.setattr(federation, "_prepare", no_data)
+        config = tiny_config(n_clients=TRUE_SV_MAX_CLIENTS + 1, rounds=1)
+        with pytest.raises(
+            FederationError,
+            match=f"capped at {TRUE_SV_MAX_CLIENTS} clients, got {TRUE_SV_MAX_CLIENTS + 1}",
+        ):
+            RetrainingGame(config)
+        assert experiments.TRUE_SV_MAX_CLIENTS is TRUE_SV_MAX_CLIENTS
 
 
 class TestArchive:

@@ -6,6 +6,7 @@ share no code with the vectorised versions, then against the worked
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,18 @@ class TestScoreTables:
         path = tmp_path / "bad.csv"
         path.write_text("method,client_0\nLOO,1.0\n")
         with pytest.raises(ScoringError, match="header"):
+            scores_from_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "LOO,x,1.0,2.0",        # round not an integer
+        "LOO,1,abc,2.0",        # score not a float
+        "BANZHAF,1,1.0,2.0",    # unknown method label
+        "LOO,1,nan,2.0",        # non-finite score
+    ])
+    def test_bad_cell_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"method,round,client_0,client_1\nFP,1,0.5,0.5\n{row}\n")
+        with pytest.raises(ScoringError, match=re.escape(f"{path}:3: ")):
             scores_from_csv(path)
 
     def test_mixed_width_rejected(self, tmp_path):

@@ -35,7 +35,11 @@ from fedscore.fedsim import (
     round_oracle,
 )
 from fedscore.fedsim.federation import _coalition_models
-from fedscore.scoring import mr_shapley_rows
+from fedscore.scoring import (
+    game_round_utilities,
+    mr_shapley_rows,
+    utilities_from_transcript,
+)
 
 KINDS = ("accuracy", "neg_loss")
 
@@ -139,6 +143,17 @@ def test_tabulation_is_bit_identical_to_per_coalition_loop(kind, n):
     batched = shapley_exact(round_oracle(t, evaluator)).scores
     solved = shapley_exact(TableGame(n, expect).oracle()).scores
     assert np.array_equal(bits(batched), bits(solved))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_probe_set_of_the_tabulated_game_is_the_transcript_probe_set(kind):
+    (t,) = make_transcripts(5)
+    evaluator = ModelEvaluator(ARCH, TEST, kind)
+    table = round_oracle(t, evaluator).tabulate()
+    got = game_round_utilities(TableGame(t.n_clients, table))
+    want = utilities_from_transcript(t, evaluator)
+    for field in ("v_empty", "v_grand", "v_with", "v_without"):
+        assert np.array_equal(bits(getattr(got, field)), bits(getattr(want, field)))
 
 
 def test_coalition_models_are_the_ascending_left_fold():
