@@ -53,10 +53,7 @@ def write_table(tables_dir, name, header, rows):
     payload = {
         "name": name,
         "header": list(header),
-        "rows": [
-            [v if not isinstance(v, bool) else bool(v) for v in row]
-            for row in rows
-        ],
+        "rows": [list(row) for row in rows],
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -154,8 +151,6 @@ def run_scenario(path, out_dir=None, master_seed=None):
 
 
 def _stem(path):
-    if hasattr(path, "read"):
-        return "scenario"
     base = os.path.basename(str(path))
     return base[:-len(".scenario")] if base.endswith(".scenario") else base
 
@@ -163,14 +158,17 @@ def _stem(path):
 def _snapshot(path, out_dir):
     """Copy the scenario source next to its results."""
     target = os.path.join(out_dir, "scenario.snapshot")
-    if hasattr(path, "read"):
-        return
     with open(path, "rb") as src, open(target, "wb") as dst:
         dst.write(src.read())
 
 
 def verify_bundle(bundle_dir):
-    """Recompute every checksum in a bundle; returns the mismatch list."""
+    """Recompute every checksum in a bundle; returns the mismatch list.
+
+    ``run.json`` is not checksummed, so it is listed as a mismatch when it
+    is missing or unreadable, or when its tables are not exactly the
+    checksummed ones: a stale ``run.json`` left beside a newer manifest.
+    """
     manifest = os.path.join(bundle_dir, "checksums.json")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"{bundle_dir}: no checksums.json")
@@ -181,4 +179,12 @@ def verify_bundle(bundle_dir):
         full = os.path.join(bundle_dir, rel)
         if not os.path.exists(full) or _sha256(full) != digest:
             bad.append(rel)
+    tables = sorted(rel[len("tables/"):] for rel in recorded if rel.startswith("tables/"))
+    try:
+        with open(os.path.join(bundle_dir, "run.json"), "r", encoding="utf-8") as fh:
+            listed = json.load(fh)["tables"]
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = None
+    if listed != tables:
+        bad.append("run.json")
     return bad

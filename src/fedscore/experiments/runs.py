@@ -7,7 +7,8 @@ to the code that builds its rows.  Heavier invariants are enforced
 inline on every run:
 
 - scoring a round through RoundUtilities must cost exactly 2N+2 model
-  evaluations, and a per-round Shapley must cost exactly 2^N (the
+  evaluations, and every exact Shapley, each MR-SV round game and each
+  true-SV retraining game, exactly 2^N coalition evaluations (the
   linear-vs-exponential separation, made measurable);
 - the weighted aggregate with all weights 1 must reproduce the plain
   FedAvg model bit-exactly.

@@ -42,9 +42,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..fedsim import FederationConfig, SyntheticSpec
-from ..fedsim.federation import TRUE_SV_MAX_CLIENTS
-from ..games import METHOD_LABELS
-from ..scoring import MR_SV_MAX_CLIENTS
+from ..games import METHOD_LABELS, SHAPLEY_MAX_CLIENTS
 
 # Each reference kind and the method label that computes it.
 REFERENCE_METHODS = {"MR-SV": "MR-SV", "true-SV": "SV"}
@@ -57,7 +55,8 @@ ABLATION_AXES = tuple(_AXIS_KINDS)
 ABLATION_FIELDS = {"n_clients": "n_clients", "mu": "dirichlet_mu"}
 WEIGHT_MODES = ("perround", "cumulative")
 
-_CLIENT_CAPS = {"MR-SV": MR_SV_MAX_CLIENTS, "SV": TRUE_SV_MAX_CLIENTS}
+# The method labels whose computation is capped at SHAPLEY_MAX_CLIENTS.
+_CAPPED_LABELS = ("MR-SV", "SV")
 
 
 class ScenarioError(ValueError):
@@ -232,11 +231,11 @@ class Scenario:
 
     def _check_caps(self, n_clients, field):
         labels = set(self.methods) | {REFERENCE_METHODS[self.reference]}
-        for label, cap in _CLIENT_CAPS.items():
-            if label in labels and n_clients > cap:
+        for label in _CAPPED_LABELS:
+            if label in labels and n_clients > SHAPLEY_MAX_CLIENTS:
                 raise ScenarioError(
                     f"{field}: {label} enumerates 2^N coalitions and is "
-                    f"capped at {cap} clients, got {n_clients}"
+                    f"capped at {SHAPLEY_MAX_CLIENTS} clients, got {n_clients}"
                 )
 
 

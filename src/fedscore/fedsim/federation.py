@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..games import Coalition, CoalitionOracle, GameError
+from ..games import SHAPLEY_MAX_CLIENTS, Coalition, CoalitionOracle, GameError
 from .data import (
     LabeledDataset,
     SyntheticSpec,
@@ -61,9 +61,6 @@ _TABULATION_CHUNK = 4
 # Coalition models per stacked SGD call when a retraining game trains its
 # coalitions in lockstep; more rows per call cost memory, not time.
 _LOCKSTEP_ROWS = 8
-
-# True SV retrains a federation for each of the 2^N coalitions.
-TRUE_SV_MAX_CLIENTS = 9
 
 
 class FederationError(ValueError):
@@ -395,7 +392,8 @@ class RetrainingGame:
     run) and evaluates the final model; v(empty) is the utility of the
     initial model.  Nothing is memoised: the experiment runs cache each
     repeat's SV, so no value is asked for twice.  More than
-    ``TRUE_SV_MAX_CLIENTS`` clients are refused before anything trains.
+    ``SHAPLEY_MAX_CLIENTS`` clients are refused before any data is
+    generated.
 
     Within a round, client i trains on the same batches in every coalition
     that contains it; only the start model differs.  So coalitions train
@@ -406,8 +404,8 @@ class RetrainingGame:
     """
 
     def __init__(self, config: FederationConfig):
-        if config.n_clients > TRUE_SV_MAX_CLIENTS:
-            raise FederationError(f"true SV is capped at {TRUE_SV_MAX_CLIENTS} "
+        if config.n_clients > SHAPLEY_MAX_CLIENTS:
+            raise FederationError(f"true SV is capped at {SHAPLEY_MAX_CLIENTS} "
                                   f"clients, got {config.n_clients}")
         self.config = config
         self._shards, test, self._arch, self._m_init = _prepare(config)

@@ -22,6 +22,11 @@ import numpy as np
 # over a million entries and "exact" stops being a desk-scale idea.
 MAX_ENUM_CLIENTS = 20
 
+# The Shapley references over trained models, MR-SV and true SV, evaluate
+# or retrain 2^N coalition models per game.  At N=12 one true-SV game on
+# the retrain benchmark's data took 16 to 19 s and about 100 MB (2 vCPU).
+SHAPLEY_MAX_CLIENTS = 12
+
 # Recognised score provenance labels, one per method.
 METHOD_LABELS = ("SV", "MR-SV", "LOO", "IOI", "FP", "EE", "COS")
 
@@ -300,13 +305,20 @@ def _subset_sizes(n: int) -> np.ndarray:
 def shapley_exact(oracle: CoalitionOracle) -> ScoreVector:
     """Exact Shapley scores by full enumeration.
 
-    Tabulates all 2^N coalition utilities once (so the oracle is hit
-    exactly 2^N times), then for each client sums the marginal over every
-    subset S not containing it, weighted by 1 / (N * C(N-1, |S|)).  The
-    result distributes v(grand) - v(empty) across clients.
+    Tabulates all 2^N coalition utilities once, and raises GameError
+    unless the oracle counted exactly 2^N evaluations doing so.  Then for
+    each client sums the marginal over every subset S not containing it,
+    weighted by 1 / (N * C(N-1, |S|)).  The result distributes
+    v(grand) - v(empty) across clients.
     """
-    values = oracle.tabulate()
     n = oracle.n_clients
+    before = oracle.call_count
+    values = oracle.tabulate()
+    used = oracle.call_count - before
+    if used != 2**n:
+        raise GameError(
+            f"Shapley audit failed: {used} evaluations, expected {2**n}"
+        )
     sizes = _subset_sizes(n)
     weights = np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
     idx = np.arange(2**n, dtype=np.int64)

@@ -3,8 +3,10 @@
 A client influences scoring through exactly two numbers each round: the
 utility of the start model plus its own update, and the utility of the
 aggregate minus its own update.  This module models a client lying about
-them (equivalently, shipping a doctored update), quantifies how much each
-client's honest reports feed everyone else's EE mass.
+them, or equivalently shipping a doctored update.  The misreport sweep
+measures how far each lie moves every scoring rule's scores and the
+liar's own mass.  The influence matrix quantifies how much each client's
+honest reports feed everyone else's EE mass.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import GameError
-from .scoring import (
-    RoundUtilities,
-    ScoringError,
-    _ee_masses,
-    _efficient_rescale,
-    _fp_masses,
-)
+from .scoring import SCORING_RULES, RoundUtilities, ScoringError, score_stack
 
 _STRATEGY_KINDS = ("honest", "additive_bias", "scale", "deflate_to")
 
@@ -181,46 +177,26 @@ class SweepRow:
     numerator_delta: float
 
 
-def _loo_stack(v_grand, v_empty, v_with, v_without):
-    mass = v_grand - v_without
-    return mass, mass
-
-
-def _rescaled_stack(candidates, first):
-    def scorer(v_grand, v_empty, v_with, v_without):
-        masses = candidates(v_grand, v_empty, v_with, v_without)
-        return _efficient_rescale(masses, v_grand)[0], masses[first]
-    return scorer
-
-
-# Each sweep scorer maps an (S, N) stack of report rows to its (S, N)
-# scores and the unnormalised mass behind them, with the same rules (and
-# bits) as loo, fp and ee applied to one row at a time.
-_SWEEP_SCORERS = {
-    "LOO": _loo_stack,
-    "FP": _rescaled_stack(_fp_masses, "alpha"),
-    "EE": _rescaled_stack(_ee_masses, "m"),
-}
-
-
 def manipulation_sweep(
     utilities: RoundUtilities,
     strategies: Sequence[MisreportStrategy],
-    scorers: Sequence[str] = tuple(_SWEEP_SCORERS),
+    scorers: Sequence[str] = ("LOO", "FP", "EE"),
 ) -> list[SweepRow]:
     """Apply each misreport in isolation and record, per scorer, how much
     the attacker's own score moved, the largest move of anyone else's
     score, and the change in the attacker's unnormalised mass.
 
-    Row 0 of one report stack holds the honest reports and row k+1 those
-    the server sees under strategy k alone; each scorer scores the whole
-    stack in one pass, bit for bit as if row by row.  When strategies
-    fail, the first failing one in input order decides what is raised.
+    Each scorer is a rule of ``SCORING_RULES``, and its mass is the rule's
+    first candidate.  Row 0 of one report stack holds the honest reports
+    and row k+1 those the server sees under strategy k alone; each scorer
+    scores the whole stack in one pass, bit for bit as if row by row.
+    When strategies fail, the first failing one in input order decides
+    what is raised.
     """
     for scorer in scorers:
-        if scorer not in _SWEEP_SCORERS:
+        if scorer not in SCORING_RULES:
             raise ProtocolError(
-                f"sweep scorer must be one of {tuple(_SWEEP_SCORERS)}, "
+                f"sweep scorer must be one of {tuple(SCORING_RULES)}, "
                 f"got {scorer!r}"
             )
     strategies = list(strategies)
@@ -247,10 +223,11 @@ def manipulation_sweep(
     scored = []
     for scorer in scorers:
         try:
-            scores, mass = _SWEEP_SCORERS[scorer](*stack)
+            scores, _, masses = score_stack(scorer, *stack)
         except ScoringError as exc:  # EE with one client fails every row
             scored.append(exc)
             continue
+        mass = next(iter(masses.values()))
         moved = np.abs(scores[1:] - scores[0])
         moved[lied, targets] = 0.0
         scored.append((

@@ -23,20 +23,17 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import Coalition, ScoreVector, TableGame, shapley_exact
+from .games import SHAPLEY_MAX_CLIENTS, Coalition, ScoreVector, TableGame, shapley_exact
 from .fedsim.federation import RoundTranscript, round_oracle
 
 # Sums this close to zero make the efficiency rescale meaningless; the
 # fallback chain below takes over.  Absolute, not relative: the utilities
 # in play are O(1) test-set numbers.
 ZERO_SUM_TOL = 1e-12
-
-# Exact per-round Shapley walks 2^N coalitions per round.
-MR_SV_MAX_CLIENTS = 12
 
 
 class ScoringError(ValueError):
@@ -93,42 +90,27 @@ class RoundUtilities:
         return RoundUtilities(self.v_empty, self.v_grand, with_, without)
 
 
-@dataclass(frozen=True)
-class FpAlpha:
-    """Unnormalised per-client mass behind the FP score."""
+class FpAlpha(NamedTuple):
+    """FP's candidate masses for one round, in fallback order: the mean of
+    each client's LOO and IOI terms, then each term alone."""
 
     alpha: np.ndarray
     loo_terms: np.ndarray
     ioi_terms: np.ndarray
 
-    def __post_init__(self):
-        for name in ("alpha", "loo_terms", "ioi_terms"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
-
-@dataclass(frozen=True)
-class EeNumerators:
-    """Unnormalised per-client mass behind the EE score.
+class EeNumerators(NamedTuple):
+    """EE's candidate masses for one round, in fallback order: m, the mean
+    of beta and gamma, then each alone.
 
     beta[i] averages how much the aggregate beats the other clients' solo
     probes; gamma[i] averages how much the other clients' drop-one probes
-    beat the start model.  Client i's own probe values appear in neither.
+    beat the start model.  Client i's own probe values appear in none.
     """
 
+    m: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-
-    def __post_init__(self):
-        for name in ("beta", "gamma"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def m(self) -> np.ndarray:
-        return (self.beta + self.gamma) / 2.0
 
 
 def _probe_set(n: int, value: Callable[[Coalition], float]) -> RoundUtilities:
@@ -149,14 +131,12 @@ def game_round_utilities(game: TableGame) -> RoundUtilities:
     return _probe_set(game.n_clients, game.value)
 
 
-def loo(utilities: RoundUtilities) -> ScoreVector:
-    """Leave-one-out: v(grand) - v(grand minus i)."""
-    return ScoreVector("LOO", utilities.v_grand - utilities.v_without)
+def _loo_masses(v_grand, v_empty, v_with, v_without) -> dict:
+    return {"loo": v_grand - v_without}
 
 
-def ioi(utilities: RoundUtilities) -> ScoreVector:
-    """Include-one-in: v(empty plus i) - v(empty)."""
-    return ScoreVector("IOI", utilities.v_with - utilities.v_empty)
+def _ioi_masses(v_grand, v_empty, v_with, v_without) -> dict:
+    return {"ioi": v_with - v_empty}
 
 
 def _fp_masses(v_grand, v_empty, v_with, v_without) -> dict:
@@ -194,6 +174,19 @@ def _ee_masses(v_grand, v_empty, v_with, v_without) -> dict:
     return {"m": (beta + gamma) / 2.0, "beta": beta, "gamma": gamma}
 
 
+# The probe-set rules.  Each maps the four probe arrays of an (S, N) stack
+# of report rows (v_with and v_without (S, N), the two scalars shared) to
+# its candidate masses by name, in fallback order, and says whether the
+# rule is efficiency-rescaled (see _efficient_rescale); an unrescaled rule
+# has one mass, and that mass is its score.
+SCORING_RULES = {
+    "LOO": (_loo_masses, False),
+    "IOI": (_ioi_masses, False),
+    "FP": (_fp_masses, True),
+    "EE": (_ee_masses, True),
+}
+
+
 def _efficient_rescale(masses: dict, v_grand: float) -> tuple[np.ndarray, list[str]]:
     """Rescale each row's first candidate (S, N) mass that does not sum to
     ~zero so the row sums to v_grand, splitting v_grand uniformly where all
@@ -213,15 +206,56 @@ def _efficient_rescale(masses: dict, v_grand: float) -> tuple[np.ndarray, list[s
     return scores, [names[k] for k in used]
 
 
-def _stack_of_one(utilities: RoundUtilities) -> tuple:
+def score_stack(rule: str, v_grand, v_empty, v_with, v_without) -> tuple:
+    """Score an (S, N) stack of report rows by one of ``SCORING_RULES``.
+
+    Returns the (S, N) scores, the name of the mass each row's scores came
+    from ("uniform" when every candidate sums to ~zero), and the candidate
+    masses by name.  Each row gets the bits it would get scored alone.
+    """
+    candidates, rescaled = SCORING_RULES[rule]
+    masses = candidates(v_grand, v_empty, v_with, v_without)
+    if rescaled:
+        scores, used = _efficient_rescale(masses, v_grand)
+        return scores, used, masses
+    ((name, scores),) = masses.items()
+    return scores, [name] * len(scores), masses
+
+
+class RuleRow(NamedTuple):
+    """One round scored by one rule, with read-only arrays: the scores, the
+    name of the mass they came from, and the candidate masses by name."""
+
+    scores: np.ndarray
+    used: str
+    masses: dict
+
+
+def score_row(rule: str, utilities: RoundUtilities) -> RuleRow:
+    """:func:`score_stack` on the one report row of ``utilities``."""
     u = utilities
-    return u.v_grand, u.v_empty, u.v_with[None], u.v_without[None]
+    scores, used, masses = score_stack(
+        rule, u.v_grand, u.v_empty, u.v_with[None], u.v_without[None]
+    )
+    scores, rows = scores[0], {name: mass[0] for name, mass in masses.items()}
+    for row in (scores, *rows.values()):
+        row.setflags(write=False)
+    return RuleRow(scores, used[0], rows)
+
+
+def loo(utilities: RoundUtilities) -> ScoreVector:
+    """Leave-one-out: v(grand) - v(grand minus i)."""
+    return ScoreVector("LOO", score_row("LOO", utilities).scores)
+
+
+def ioi(utilities: RoundUtilities) -> ScoreVector:
+    """Include-one-in: v(empty plus i) - v(empty)."""
+    return ScoreVector("IOI", score_row("IOI", utilities).scores)
 
 
 def fp_alpha(utilities: RoundUtilities) -> FpAlpha:
     """The two observable marginals per client and their mean."""
-    masses = _fp_masses(*_stack_of_one(utilities))
-    return FpAlpha(masses["alpha"][0], masses["loo"][0], masses["ioi"][0])
+    return FpAlpha(*score_row("FP", utilities).masses.values())
 
 
 def fp(utilities: RoundUtilities) -> ScoreVector:
@@ -231,21 +265,12 @@ def fp(utilities: RoundUtilities) -> ScoreVector:
     falls back to the LOO terms alone, then the IOI terms alone, then a
     uniform split of v(grand).
     """
-    return fp_scored(utilities)[0]
-
-
-def fp_scored(utilities: RoundUtilities) -> tuple[ScoreVector, str]:
-    """Like :func:`fp` but also names the mass used ("alpha", "loo",
-    "ioi", or "uniform")."""
-    masses = _fp_masses(*_stack_of_one(utilities))
-    scores, used = _efficient_rescale(masses, utilities.v_grand)
-    return ScoreVector("FP", scores[0]), used[0]
+    return ScoreVector("FP", score_row("FP", utilities).scores)
 
 
 def ee_numerators(utilities: RoundUtilities) -> EeNumerators:
     """Per-client EE mass from the other clients' probes only."""
-    masses = _ee_masses(*_stack_of_one(utilities))
-    return EeNumerators(beta=masses["beta"][0], gamma=masses["gamma"][0])
+    return EeNumerators(*score_row("EE", utilities).masses.values())
 
 
 def ee(utilities: RoundUtilities) -> ScoreVector:
@@ -254,15 +279,7 @@ def ee(utilities: RoundUtilities) -> ScoreVector:
     Falls back, when the mass sums to zero, to beta alone, then gamma
     alone, then a uniform split of v(grand).
     """
-    return ee_scored(utilities)[0]
-
-
-def ee_scored(utilities: RoundUtilities) -> tuple[ScoreVector, str]:
-    """Like :func:`ee` but also names the mass used ("m", "beta", "gamma",
-    or "uniform")."""
-    masses = _ee_masses(*_stack_of_one(utilities))
-    scores, used = _efficient_rescale(masses, utilities.v_grand)
-    return ScoreVector("EE", scores[0]), used[0]
+    return ScoreVector("EE", score_row("EE", utilities).scores)
 
 
 def cos_score(transcript: RoundTranscript) -> ScoreVector:
@@ -309,37 +326,25 @@ def utilities_from_transcript(
     return _probe_set(transcript.n_clients, round_oracle(transcript, evaluator).evaluate)
 
 
-def _round_shapley(transcript: RoundTranscript, evaluator: Callable) -> np.ndarray:
-    """Exact Shapley of one round game, audited at 2^N evaluations."""
-    oracle = round_oracle(transcript, evaluator)
-    scores = shapley_exact(oracle).scores
-    expect = 2**transcript.n_clients
-    if oracle.call_count != expect:
-        raise ScoringError(
-            f"round-game audit failed: {oracle.call_count} evaluations, "
-            f"expected {expect}"
-        )
-    return scores
-
-
 def mr_shapley_rows(
     transcripts: Sequence[RoundTranscript], evaluator: Callable
 ) -> np.ndarray:
     """Exact Shapley of every round game, one row per round in round order.
 
-    Costs exactly 2^N evaluator calls per round, so it is capped at
-    ``MR_SV_MAX_CLIENTS`` clients.  The round games are independent, so
-    they run on a thread pool bounded by the CPU count; the stacked model
-    evaluations release the GIL.
+    Costs exactly 2^N evaluator calls per round, audited by
+    :func:`shapley_exact`, so it is capped at ``SHAPLEY_MAX_CLIENTS``
+    clients.  The round games are independent, so they run on a thread
+    pool bounded by the CPU count; the stacked model evaluations release
+    the GIL.
     """
     transcripts = list(transcripts)
     if not transcripts:
         raise ScoringError("no transcripts to score")
     n = transcripts[0].n_clients
-    if n > MR_SV_MAX_CLIENTS:
+    if n > SHAPLEY_MAX_CLIENTS:
         raise ScoringError(
             f"multi-round Shapley enumerates 2^N coalitions per round and is "
-            f"capped at {MR_SV_MAX_CLIENTS} clients, got {n}"
+            f"capped at {SHAPLEY_MAX_CLIENTS} clients, got {n}"
         )
     for t in transcripts:
         if t.n_clients != n:
@@ -349,7 +354,7 @@ def mr_shapley_rows(
     workers = min(len(transcripts), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.array(list(pool.map(
-            lambda t: _round_shapley(t, evaluator), transcripts
+            lambda t: shapley_exact(round_oracle(t, evaluator)).scores, transcripts
         )))
 
 

@@ -235,18 +235,22 @@ class TestScenarioParsing:
         assert twelve.federation.n_clients == 12
 
     def test_true_sv_cap_names_n_clients(self):
-        text = (TINY_SCENARIO.replace("reference = MR-SV", "reference = true-SV")
-                .replace("n_clients = 3", "n_clients = 10"))
+        text = TINY_SCENARIO.replace("reference = MR-SV", "reference = true-SV")
         with pytest.raises(ScenarioError, match=(
-                r"federation\.n_clients: SV .* capped at 9 clients, got 10")):
-            parse_scenario(io.StringIO(text), name="scenario")
+                r"federation\.n_clients: SV .* capped at 12 clients, got 13")):
+            parse_scenario(io.StringIO(text.replace("n_clients = 3", "n_clients = 13")),
+                           name="scenario")
+        twelve = parse_scenario(io.StringIO(
+            text.replace("n_clients = 3", "n_clients = 12")), name="scenario")
+        assert (twelve.reference, twelve.federation.n_clients) == ("true-SV", 12)
 
     def test_true_sv_cap_names_ablation_values(self):
         text = (TINY_SCENARIO.replace("methods = LOO, FP, EE, COS",
                                       "methods = LOO, SV")
-                + "\n[ablation]\naxis = n_clients\nvalues = 3, 10\n")
+                .replace("reference = MR-SV", "reference = true-SV")
+                + "\n[ablation]\naxis = n_clients\nvalues = 3, 13\n")
         with pytest.raises(ScenarioError, match=(
-                r"ablation\.values: SV .* capped at 9 clients, got 10")):
+                r"ablation\.values: SV .* capped at 12 clients, got 13")):
             parse_scenario(io.StringIO(text), name="scenario")
 
     @pytest.mark.parametrize("block, field", [
@@ -597,6 +601,25 @@ class TestBundles:
         finally:
             victim.write_bytes(original)
 
+    @pytest.mark.parametrize("stale", [
+        pytest.param(lambda meta: {**meta, "tables": meta["tables"][2:]}, id="table-missing"),
+        pytest.param(lambda meta: {**meta, "tables": meta["tables"] + ["old.csv"]},
+                     id="table-extra"),
+        pytest.param(lambda meta: {"scenario": meta["scenario"]}, id="no-tables"),
+        pytest.param(None, id="no-run-json"),
+    ])
+    def test_run_json_must_list_the_checksummed_tables(self, bundle, stale):
+        run_json = bundle / "run.json"
+        original = run_json.read_bytes()
+        if stale is None:
+            run_json.unlink()
+        else:
+            run_json.write_text(json.dumps(stale(json.loads(original))))
+        try:
+            assert verify_bundle(str(bundle)) == ["run.json"]
+        finally:
+            run_json.write_bytes(original)
+
     def test_rerun_is_byte_identical(self, bundle, tmp_path):
         scenario_path = bundle.parent / "tiny.scenario"
         again = tmp_path / "again"
@@ -732,6 +755,19 @@ class TestCli:
         report = self._run("report", str(out))
         assert report.returncode == 1
         assert "checksum mismatch" in report.stderr
+
+    def test_report_flags_a_stale_run_json(self, tmp_path):
+        scenario_path = tmp_path / "tiny.scenario"
+        scenario_path.write_text(TINY_SCENARIO)
+        out = tmp_path / "bundle"
+        assert self._run("run", str(scenario_path), "--out", str(out)).returncode == 0
+        run_json = out / "run.json"
+        meta = json.loads(run_json.read_text())
+        meta["tables"] += ["ablation.csv", "ablation.json"]  # left by an earlier run
+        run_json.write_text(json.dumps(meta))
+        report = self._run("report", str(out))
+        assert report.returncode == 1
+        assert "checksum mismatch: run.json" in report.stderr
 
     def test_seed_env_and_flag_precedence(self, tmp_path):
         scenario_path = tmp_path / "tiny.scenario"

@@ -43,9 +43,7 @@ from fedscore.fedsim import (
     save_transcripts,
     sgd_train,
 )
-from fedscore import experiments
 from fedscore.fedsim import federation, mlp
-from fedscore.fedsim.federation import TRUE_SV_MAX_CLIENTS
 from fedscore.fedsim import test_set_for as config_test_set
 
 from conftest import TINY_SPEC, tiny_config
@@ -410,13 +408,16 @@ class TestRetrainingGame:
             raise AssertionError("data generated past the cap")
 
         monkeypatch.setattr(federation, "_prepare", no_data)
-        config = tiny_config(n_clients=TRUE_SV_MAX_CLIENTS + 1, rounds=1)
-        with pytest.raises(
-            FederationError,
-            match=f"capped at {TRUE_SV_MAX_CLIENTS} clients, got {TRUE_SV_MAX_CLIENTS + 1}",
-        ):
-            RetrainingGame(config)
-        assert experiments.TRUE_SV_MAX_CLIENTS is TRUE_SV_MAX_CLIENTS
+        with pytest.raises(FederationError, match="capped at 12 clients, got 13"):
+            RetrainingGame(tiny_config(n_clients=13, rounds=1))
+
+    def test_twelve_clients_construct_without_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained while constructing")
+
+        monkeypatch.setattr(federation, "sgd_train", no_training)
+        monkeypatch.setattr(federation, "sgd_train_stack", no_training)
+        assert RetrainingGame(tiny_config(n_clients=12, rounds=1)).n_clients == 12
 
 
 class TestArchive:

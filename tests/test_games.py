@@ -166,6 +166,17 @@ class TestShapley:
             sv = shapley_exact(additive_game(c).oracle()).scores
             np.testing.assert_allclose(sv, c, atol=1e-12)
 
+    def test_tabulation_that_skips_a_coalition_fails_the_audit(self):
+        game = worked_game()
+
+        def chunks():  # every coalition but the grand one
+            masks = range(2**game.n_clients - 1)
+            yield masks, game.table[list(masks)]
+
+        oracle = CoalitionOracle(game.n_clients, game.value, chunks)
+        with pytest.raises(GameError, match="7 evaluations, expected 8"):
+            shapley_exact(oracle)
+
     def test_efficiency(self):
         rng = np.random.default_rng(63)
         for _ in range(20):

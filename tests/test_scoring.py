@@ -38,7 +38,7 @@ from fedscore.fedsim import (
     model_eval_oracle,
     round_oracle,
 )
-from fedscore.scoring import ee_scored, fp_scored, mr_shapley_rows
+from fedscore.scoring import mr_shapley_rows, score_row
 
 from helpers import random_game, worked_game
 
@@ -157,10 +157,8 @@ class TestSingleRoundScores:
 class TestRescaleFallbacks:
     def test_alpha_used_when_nonzero(self):
         u = game_round_utilities(worked_game())
-        _, used = fp_scored(u)
-        assert used == "alpha"
-        _, used = ee_scored(u)
-        assert used == "m"
+        assert score_row("FP", u).used == "alpha"
+        assert score_row("EE", u).used == "m"
 
     def test_fp_falls_back_to_loo_terms(self):
         # alpha sums to zero (loo and ioi masses cancel) but loo does not
@@ -170,9 +168,9 @@ class TestRescaleFallbacks:
             v_with=np.array([-1.0, -1.0]),
             v_without=np.array([1.0, 1.0]),
         )
-        vec, used = fp_scored(u)
+        scores, used, _ = score_row("FP", u)
         assert used == "loo"
-        assert abs(vec.scores.sum() - 2.0) < 1e-12
+        assert abs(scores.sum() - 2.0) < 1e-12
 
     def test_fp_uniform_fallback_splits_evenly(self):
         # loo and ioi masses each cancel: v_with = v_empty, v_without = v_grand
@@ -182,9 +180,9 @@ class TestRescaleFallbacks:
             v_with=np.array([0.5, 0.5, 0.5]),
             v_without=np.array([3.0, 3.0, 3.0]),
         )
-        vec, used = fp_scored(u)
+        scores, used, _ = score_row("FP", u)
         assert used == "uniform"
-        np.testing.assert_allclose(vec.scores, [1.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(scores, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_ee_uniform_fallback_splits_evenly(self):
         # beta and gamma cancel: v_with = v_grand, v_without = v_empty
@@ -194,9 +192,9 @@ class TestRescaleFallbacks:
             v_with=np.array([3.0, 3.0, 3.0]),
             v_without=np.array([0.5, 0.5, 0.5]),
         )
-        vec, used = ee_scored(u)
+        scores, used, _ = score_row("EE", u)
         assert used == "uniform"
-        np.testing.assert_allclose(vec.scores, [1.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(scores, [1.0, 1.0, 1.0], atol=1e-12)
 
 
 class TestTranscriptScoring:

@@ -32,7 +32,7 @@ from fedscore import (
 from fedscore.games import ScoreVector
 from fedscore.metrics import normalize_scores
 from fedscore.protocol import SweepRow
-from fedscore.scoring import ZERO_SUM_TOL, _efficient_rescale, ee_scored, fp_scored
+from fedscore.scoring import ZERO_SUM_TOL, _efficient_rescale, score_row
 
 SIZES = (1, 2, 3, 8, 9, 16, 17)
 KINDS = ("honest", "additive_bias", "scale", "deflate_to")
@@ -196,12 +196,12 @@ def test_scoring_rules_match_the_reference(u):
     assert same_bits(parts.alpha, alpha)
     assert same_bits(parts.loo_terms, loo_terms)
     assert same_bits(parts.ioi_terms, ioi_terms)
-    got, got_exc = outcome(fp_scored, u)
+    got, got_exc = outcome(score_row, "FP", u)
     want, want_exc = outcome(ref_fp_scored, u)
     assert got_exc == want_exc
     if want is not None:
-        assert got[1] == want[1]
-        assert same_bits(got[0].scores, want[0].scores)
+        assert got.used == want[1]
+        assert same_bits(got.scores, want[0].scores)
         assert same_bits(fp(u).scores, want[0].scores)
     if u.n_clients < 2:
         for fn in (ee_numerators, ee):
@@ -213,12 +213,12 @@ def test_scoring_rules_match_the_reference(u):
     assert same_bits(nums.beta, beta)
     assert same_bits(nums.gamma, gamma)
     assert same_bits(nums.m, m)
-    got, got_exc = outcome(ee_scored, u)
+    got, got_exc = outcome(score_row, "EE", u)
     want, want_exc = outcome(ref_ee_scored, u)
     assert got_exc == want_exc
     if want is not None:
-        assert got[1] == want[1]
-        assert same_bits(got[0].scores, want[0].scores)
+        assert got.used == want[1]
+        assert same_bits(got.scores, want[0].scores)
         assert same_bits(ee(u).scores, want[0].scores)
 
 
@@ -262,12 +262,12 @@ class TestFallbackRows:
         # honest alpha sums to zero but loo does not; deflating client 0 to
         # 0.0 also zeroes the loo mass, so that row splits uniformly
         u = RoundUtilities(0.0, 2.0, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        assert fp_scored(u)[1] == "loo"
+        assert score_row("FP", u).used == "loo"
         deflate = MisreportStrategy("deflate_to", 0, 0.0)
         assert ref_fp_scored(collect_reports(u, [deflate]))[1] == "alpha"
         uniform = RoundUtilities(0.5, 3.0, np.array([0.5, 0.5, 0.5]),
                                  np.array([3.0, 3.0, 3.0]))
-        assert fp_scored(uniform)[1] == "uniform"
+        assert score_row("FP", uniform).used == "uniform"
         for utilities in (u, uniform):
             strategies = standard_strategies(utilities.n_clients)
             strategies.append(MisreportStrategy("additive_bias", 1, -0.5))
@@ -276,7 +276,7 @@ class TestFallbackRows:
     def test_ee_rows_fall_back_to_uniform(self):
         u = RoundUtilities(0.5, 3.0, np.array([3.0, 3.0, 3.0]),
                            np.array([0.5, 0.5, 0.5]))
-        assert ee_scored(u)[1] == "uniform"
+        assert score_row("EE", u).used == "uniform"
         # an honest report keeps the uniform row; scaling client 1 moves the
         # other clients' mass, so that row rescales m
         strategies = [MisreportStrategy("honest", 0), MisreportStrategy("scale", 1, 2.0)]
@@ -357,13 +357,13 @@ def test_fp_and_ee_normalise_alike(u):
     # scores scaled by a tiny v_grand lose bits to underflow.
     if np.ptp(c) < 1e-3 * scale or abs(u.v_grand) < 1e-100:
         return
-    fp_vec, fp_used = fp_scored(u)
-    ee_vec, ee_used = ee_scored(u)
+    fp_scores, fp_used, _ = score_row("FP", u)
+    ee_scores, ee_used, _ = score_row("EE", u)
     if (fp_used, ee_used) != ("alpha", "m"):
         return
     same_sign = np.sign(fp_alpha(u).alpha.sum()) == np.sign(ee_numerators(u).m.sum())
-    ee_scores = ee_vec.scores if same_sign else -ee_vec.scores
-    np.testing.assert_allclose(normalize_scores(fp_vec.scores).scores,
+    ee_scores = ee_scores if same_sign else -ee_scores
+    np.testing.assert_allclose(normalize_scores(fp_scores).scores,
                                normalize_scores(ee_scores).scores,
                                rtol=1e-9, atol=1e-9)
 
