@@ -23,7 +23,7 @@ from ..fedsim import (
     ModelEvaluator,
     RetrainingGame,
     model_eval_oracle,
-    run_federation,
+    run_federations,
 )
 from ..fedsim.mlp import MlpArch, ModelParams
 from ..games import ScoreVector, shapley_exact
@@ -90,20 +90,23 @@ class RepeatContext:
 
 
 def run_repeats(scenario):
-    """All repeats' federations, trained one after another in repeat order."""
+    """All repeats' federations, trained in lockstep (``run_federations``)."""
     seeds = derive_seeds(scenario.master_seed, scenario.repeats)
-    contexts = []
-    for repeat, seed in enumerate(seeds):
-        cfg = dataclasses.replace(scenario.federation, seed=int(seed))
-        transcripts, test = run_federation(cfg)
-        contexts.append(RepeatContext(
+    configs = [
+        dataclasses.replace(scenario.federation, seed=int(seed)) for seed in seeds
+    ]
+    return [
+        RepeatContext(
             repeat=repeat,
-            seed=int(seed),
+            seed=cfg.seed,
             config=cfg,
             transcripts=tuple(transcripts),
             evaluator=model_eval_oracle(test, cfg.utility_kind),
-        ))
-    return contexts
+        )
+        for repeat, (cfg, (transcripts, test)) in enumerate(
+            zip(configs, run_federations(configs))
+        )
+    ]
 
 
 def audited_round_utilities(transcript, evaluator):

@@ -10,6 +10,12 @@ which is what the per-round coalition games evaluate.
 Every random draw comes from a stream derived from (seed, fixed tag,
 round, client), so reruns are bit-identical and a retrained sub-federation
 reuses exactly the per-client streams of the full run.
+
+Local training runs in lockstep: all clients of a round, of every
+federation in a list and of every coalition a retraining game trains, go
+through one stacked SGD trainer (``mlp.sgd_train_rows``), each row on its
+own stream, and each ends bit-identical to training it alone.  Failures
+are reported as the sequential order would meet them first.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from .mlp import (
     ModelError,
     ModelParams,
     TrainingDiverged,
+    _ROW_CAP,
     init_params,
-    sgd_train,
-    sgd_train_stack,
+    sgd_train_rows,
     stack_accuracy,
     stack_mean_loss,
 )
@@ -57,10 +63,6 @@ UTILITY_KINDS = ("accuracy", "neg_loss")
 
 # Coalition models per stacked evaluation when a game is tabulated.
 _TABULATION_CHUNK = 4
-
-# Coalition models per stacked SGD call when a retraining game trains its
-# coalitions in lockstep; more rows per call cost memory, not time.
-_LOCKSTEP_ROWS = 8
 
 
 class FederationError(ValueError):
@@ -331,42 +333,69 @@ def _prepare(config: FederationConfig):
 
 
 def _federate(
-    config: FederationConfig,
-    arch: MlpArch,
-    m_init: ModelParams,
-    shards: Sequence[LabeledDataset],
-    members: Sequence[int],
-) -> list[RoundTranscript]:
-    """Run the round loop for the given subset of clients.
+    configs: Sequence[FederationConfig], prepared: Sequence[tuple]
+) -> tuple[list[list[RoundTranscript]], dict[int, Exception]]:
+    """Run the round loops of several federations in lockstep.
 
-    ``members`` are global client ids; each keeps its own training stream,
-    so the grand-coalition run is bit-identical to run_federation.  Updates
-    are scaled by 1/len(members).
+    ``prepared`` holds each config's :func:`_prepare` output, and every
+    config shares the architecture, epochs, lr and batch size.  In each
+    round, every client of every federation still running trains from its
+    federation's start model in one :func:`sgd_train_rows` call, each on
+    its own stream, so every federation is bit-identical to running it
+    alone.  Updates are scaled by 1/n_clients.
+
+    Returns the transcripts and the failures by federation index.  The
+    lowest-indexed failure is the one running the federations one after
+    another would raise: its first failing round, its lowest failing
+    client.  Federations from a failing one on stop training, so a higher
+    one may be missing from the failures; those below it run to the end.
     """
-    scale = 1.0 / len(members)
-    m0 = m_init
-    transcripts = []
-    for t in range(1, config.rounds + 1):
-        updates = []
-        for i in members:
+    first = configs[0]
+    arch = prepared[0][2]
+    m0 = [m_init for *_, m_init in prepared]
+    transcripts: list[list[RoundTranscript]] = [[] for _ in configs]
+    failures: dict[int, Exception] = {}
+    live = range(len(configs))
+    for t in range(1, max(config.rounds for config in configs) + 1):
+        running = [f for f in live if configs[f].rounds >= t]
+        if not running:
+            break
+        streams = [
+            (prepared[f][0][i], [configs[f].seed, _SEED_TRAIN, t, i])
+            for f in running for i in range(configs[f].n_clients)
+        ]
+        starts = np.concatenate([
+            np.tile(m0[f].values, (configs[f].n_clients, 1)) for f in running
+        ])
+        local, diverged = sgd_train_rows(
+            arch, starts, streams, epochs=first.local_epochs, lr=first.lr,
+            batch_size=first.batch_size,
+        )
+        row = 0
+        for f in running:
+            scale = 1.0 / configs[f].n_clients
             try:
-                local = sgd_train(
-                    arch, m0, shards[i],
-                    epochs=config.local_epochs,
-                    lr=config.lr,
-                    batch_size=config.batch_size,
-                    seed=[config.seed, _SEED_TRAIN, t, i],
+                updates = []
+                for i in range(configs[f].n_clients):
+                    if diverged is not None and diverged.row == row:
+                        raise TrainingDiverged(
+                            f"client {i} diverged in round {t}: {diverged}", round=t
+                        ) from diverged
+                    delta = ModelParams((local[row] - m0[f].values) * scale)
+                    updates.append(ClientUpdate(client=i, delta=delta))
+                    row += 1
+                m = ModelParams(
+                    m0[f].values + np.sum([u.delta.values for u in updates], axis=0)
                 )
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(
-                    f"client {i} diverged in round {t}: {exc}", round=t
-                ) from exc
-            delta = ModelParams((local.values - m0.values) * scale)
-            updates.append(ClientUpdate(client=i, delta=delta))
-        m = ModelParams(m0.values + np.sum([u.delta.values for u in updates], axis=0))
-        transcripts.append(RoundTranscript(round=t, m0=m0, updates=tuple(updates), m=m))
-        m0 = m
-    return transcripts
+                transcripts[f].append(
+                    RoundTranscript(round=t, m0=m0[f], updates=tuple(updates), m=m)
+                )
+                m0[f] = m
+            except (TrainingDiverged, ModelError, FederationError) as exc:
+                failures[f] = exc
+                live = [g for g in live if g < f]
+                break
+    return transcripts, failures
 
 
 def test_set_for(config: FederationConfig) -> LabeledDataset:
@@ -374,14 +403,41 @@ def test_set_for(config: FederationConfig) -> LabeledDataset:
     return _prepare(config)[1]
 
 
+def run_federations(
+    configs: Sequence[FederationConfig],
+) -> list[tuple[list[RoundTranscript], LabeledDataset]]:
+    """Run several federations; return each one's transcripts and test set.
+
+    Federations that share the architecture, local epochs, lr and batch
+    size train in lockstep (see :func:`_federate`); each result is
+    bit-identical to :func:`run_federation` on its config, and a failure
+    is the one running them in list order would raise first.
+    """
+    prepared = [_prepare(config) for config in configs]
+    groups: dict[tuple, list[int]] = {}
+    for f, config in enumerate(configs):
+        key = (prepared[f][2], config.local_epochs, config.lr, config.batch_size)
+        groups.setdefault(key, []).append(f)
+    transcripts: list = [None] * len(configs)
+    failures = {}
+    for members in groups.values():
+        runs, failed = _federate(
+            [configs[f] for f in members], [prepared[f] for f in members]
+        )
+        for k, run in enumerate(runs):
+            transcripts[members[k]] = run
+        failures.update((members[k], exc) for k, exc in failed.items())
+    if failures:
+        raise failures[min(failures)]
+    return [(transcripts[f], prepared[f][1]) for f in range(len(configs))]
+
+
 def run_federation(config: FederationConfig) -> tuple[list[RoundTranscript], LabeledDataset]:
     """Run the full federation and return its transcripts plus the test set.
 
     Bit-identical across reruns of the same config.
     """
-    shards, test, arch, m_init = _prepare(config)
-    transcripts = _federate(config, arch, m_init, shards, range(config.n_clients))
-    return transcripts, test
+    return run_federations([config])[0]
 
 
 class RetrainingGame:
@@ -397,10 +453,10 @@ class RetrainingGame:
 
     Within a round, client i trains on the same batches in every coalition
     that contains it; only the start model differs.  So coalitions train
-    in lockstep, round by round, the models of every coalition holding
-    client i going through stacked SGD calls, and each ends bit-identical
-    to its own ``_federate`` run.  Tabulating the oracle trains all 2^N
-    coalitions this way; ``value`` trains just one.
+    in lockstep, round by round: a round's (client, coalition) rows go
+    through :func:`sgd_train_rows`, client-major, and each coalition ends
+    bit-identical to its own federation run.  Tabulating the oracle trains
+    all 2^N coalitions this way; ``value`` trains just one.
     """
 
     def __init__(self, config: FederationConfig):
@@ -436,40 +492,51 @@ class RetrainingGame:
         """Train the coalitions in ``masks`` in lockstep, then yield their
         (masks, utilities) in evaluated chunks.
 
+        A round's rows are the (client, coalition) pairs, client-major,
+        trained :data:`_ROW_CAP` at a time by :func:`sgd_train_rows`.
         Every coalition's round total starts at 0.0 and adds its members'
         scaled updates in ascending client order: the sequential fold
-        ``np.sum(deltas, axis=0)`` performs in ``_federate``.
+        ``np.sum(deltas, axis=0)`` performs in ``_federate``.  A divergence
+        names the lowest diverging pair in that order.
         """
         cfg = self.config
         trained = [mask for mask in masks if mask]
         models = np.tile(self._m_init.values, (len(trained), 1))
         scales = 1.0 / np.array([mask.bit_count() for mask in trained])
+        pairs = np.array(
+            [(i, k) for i in range(self.n_clients)
+             for k, mask in enumerate(trained) if mask >> i & 1],
+            dtype=np.int64,
+        ).reshape(-1, 2)
         total = np.empty_like(models)
         for t in range(1, cfg.rounds + 1):
             total.fill(0.0)
-            for i in range(self.n_clients):
-                rows = [k for k, mask in enumerate(trained) if mask >> i & 1]
-                for lo in range(0, len(rows), _LOCKSTEP_ROWS):
-                    chunk = rows[lo : lo + _LOCKSTEP_ROWS]
-                    start = models[chunk]
-                    try:
-                        local = sgd_train_stack(
-                            self._arch, start, self._shards[i],
-                            epochs=cfg.local_epochs,
-                            lr=cfg.lr,
-                            batch_size=cfg.batch_size,
-                            seed=[cfg.seed, _SEED_TRAIN, t, i],
-                        )
-                    except TrainingDiverged as exc:
-                        members = Coalition(trained[chunk[exc.row]]).members
-                        raise TrainingDiverged(
-                            f"client {i} diverged in round {t} in coalition "
-                            f"{members}: {exc}",
-                            round=t,
-                        ) from exc
-                    local -= start
-                    local *= scales[chunk, None]
-                    total[chunk] += local
+            streams = [(shard, [cfg.seed, _SEED_TRAIN, t, i])
+                       for i, shard in enumerate(self._shards)]
+            for lo in range(0, len(pairs), _ROW_CAP):
+                clients, rows = pairs[lo : lo + _ROW_CAP].T
+                start = models[rows]
+                local, diverged = sgd_train_rows(
+                    self._arch, start, [streams[i] for i in clients],
+                    epochs=cfg.local_epochs,
+                    lr=cfg.lr,
+                    batch_size=cfg.batch_size,
+                )
+                if diverged is not None:
+                    i = clients[diverged.row]
+                    members = Coalition(trained[rows[diverged.row]]).members
+                    raise TrainingDiverged(
+                        f"client {i} diverged in round {t} in coalition "
+                        f"{members}: {diverged}",
+                        round=t,
+                    ) from diverged
+                local -= start
+                local *= scales[rows, None]
+                # One client's rows name distinct coalitions; clients go in
+                # ascending order, so each total folds its members in order.
+                for i in np.unique(clients):
+                    mine = clients == i
+                    total[rows[mine]] += local[mine]
             models += total
             _check_models(trained, models)
         del total  # not needed while the chunks below are evaluated

@@ -12,6 +12,7 @@ row-major), b2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,12 @@ HIDDEN_UNITS = 32
 
 # Weight init scale; tanh saturates fast, keep early activations tame.
 _INIT_SCALE = 0.1
+
+# Most rows in one stacked SGD step, and in one call of a retraining
+# game.  On 16-sample batches (24 features, 4 classes; 2-vCPU Xeon,
+# OpenBLAS 0.3.31, best of 5) a step cost 12-17 us per row at 8 rows,
+# 9-14 us at 16 to 32, and 18-23 us at 48 and 64.
+_ROW_CAP = 32
 
 
 class ModelError(ValueError):
@@ -129,9 +136,15 @@ def _layers(features: np.ndarray, w1, b1, w2, b2):
     return hidden, hidden @ w2 + b2[..., None, :]
 
 
+# Local SGD calls the ufuncs' reductions directly: ``ndarray.max``, ``sum``
+# and ``mean`` run the same reductions behind a Python wrapper that costs
+# more than the arithmetic on one 16-sample batch.
+_max, _sum = np.maximum.reduce, np.add.reduce
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - _max(logits, axis=-1, keepdims=True)
+    return shifted - np.log(_sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -208,37 +221,40 @@ def loss_and_grad(
     """Mean cross-entropy on a batch and its gradient as one flat vector."""
     grad = np.empty((1, arch.n_params))
     loss = _stack_loss_and_grad(
-        _split(arch, params.values[None]), _split(arch, grad), features, labels
+        _split(arch, params.values[None]), _split(arch, grad),
+        np.asarray(features)[None], np.asarray(labels)[None],
     )
     return float(loss[0]), grad[0]
 
 
 def _stack_loss_and_grad(params, grads, features, labels) -> np.ndarray:
-    """Mean cross-entropy on one batch of every model in a stack.
+    """Mean cross-entropy of every model in a stack, each on its own batch.
 
     ``params`` and ``grads`` are the :func:`_split` views of a
-    (c, n_params) stack and of its gradient buffer, which is overwritten.
+    (c, n_params) stack and of its gradient buffer, which is overwritten;
+    ``features`` is (c, n, dim) and ``labels`` (c, n), one batch per model,
+    or (1, n, dim) and (1, n), one batch for all of them.
     Returns the (c,) losses.  Every row goes through exactly the float
     operations a lone model does: one GEMM per product, its loss from a
     contiguous gather, and the bias gradients summed along the batch axis.
     """
     w1, b1, w2, b2 = params
     dw1, db1, dw2, db2 = grads
-    n = features.shape[0]
+    n = features.shape[1]
     hidden, logits = _layers(features, w1, b1, w2, b2)
     logp = _log_softmax(logits)
-    rows = np.arange(n)
-    losses = -np.ascontiguousarray(logp[:, rows, labels]).mean(axis=1)
+    picked = (np.arange(len(logp))[:, None], np.arange(n), labels)
+    losses = -(_sum(logp[picked], axis=1) / n)  # the mean, as ``mean`` divides
 
     dlogits = np.exp(logp)
-    dlogits[:, rows, labels] -= 1.0
+    dlogits[picked] -= 1.0
     dlogits /= n
     np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
-    dlogits.sum(axis=1, out=db2)
+    _sum(dlogits, axis=1, out=db2)
     dz1 = dlogits @ w2.transpose(0, 2, 1)
     dz1 *= 1.0 - hidden**2
-    np.matmul(features.T, dz1, out=dw1)
-    dz1.sum(axis=1, out=db1)
+    np.matmul(features.transpose(0, 2, 1), dz1, out=dw1)
+    _sum(dz1, axis=1, out=db1)
     return losses
 
 
@@ -257,62 +273,143 @@ def sgd_train(
     may be short.  epochs=0 returns the input unchanged.  Deterministic in
     (params, data, seed).  Raises TrainingDiverged on a non-finite loss.
     """
-    stack = sgd_train_stack(
-        arch, params.values[None], data, epochs, lr, batch_size, seed
+    stack, diverged = sgd_train_rows(
+        arch, params.values[None], [(data, seed)], epochs, lr, batch_size
     )
+    if diverged is not None:
+        raise diverged
     return ModelParams(stack[0])
 
 
-def sgd_train_stack(
+def sgd_train_rows(
     arch: MlpArch,
     stack: np.ndarray,
-    data: LabeledDataset,
+    streams: Sequence[tuple[LabeledDataset, object]],
     epochs: int,
     lr: float,
     batch_size: int,
-    seed,
-) -> np.ndarray:
-    """:func:`sgd_train` on every model of a (c, n_params) stack at once.
+) -> tuple[np.ndarray, TrainingDiverged | None]:
+    """:func:`sgd_train` on every row of a (R, n_params) stack at once.
 
-    Every row trains on the same batches, drawn from ``seed`` alone, and
-    ends bit-identical to training it by itself.  Returns a new stack.
-    Raises ModelError if the stack is not finite on entry, and
-    TrainingDiverged, with ``row`` set, when a row's loss or parameters
-    become non-finite.
+    Row r trains on its own stream ``streams[r]``, a (data, seed) pair;
+    rows may share one, and a pair object passed for several rows is
+    shuffled once.  Each stacked step takes the rows whose next batch has
+    the same length at the same position of their own batch sequences,
+    and gathers their batches as (rows, length, dim) features, at most
+    ``_ROW_CAP`` rows per step.  No batch is padded, so every row ends
+    bit-identical to training it alone.
+
+    Returns ``(stack, diverged)``, the stack a new array.  ``diverged`` is
+    None, or the TrainingDiverged of the lowest-indexed row whose loss or
+    parameters became non-finite, with ``row`` set and the message of that
+    row's first failure; rows from it on are then left part-trained, and
+    every row below it is fully trained.  Raises ModelError on bad settings
+    or when a row is not finite on entry.
     """
     if epochs < 0:
         raise ModelError(f"epochs must be nonnegative, got {epochs}")
     if lr <= 0 or batch_size < 1:
         raise ModelError(f"bad SGD settings: lr={lr} batch_size={batch_size}")
     stack = np.array(stack, dtype=np.float64)
+    if stack.ndim != 2 or len(streams) != len(stack):
+        raise ModelError(
+            f"a stack of shape {stack.shape} needs one stream per row, "
+            f"got {len(streams)}"
+        )
     if not np.isfinite(stack).all():
         row = _first_nonfinite_row(stack)
         raise ModelError(f"parameters of row {row} contain non-finite values")
-    rng = np.random.default_rng(seed)
+    if not len(stack):
+        return stack, None
+    features, labels, steps = _batch_plan(streams, epochs, batch_size)
     grad = np.empty_like(stack)
     # Views into the two buffers, which are only ever updated in place.
     params, grads = _split(arch, stack), _split(arch, grad)
-    n = data.n_samples
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            losses = _stack_loss_and_grad(
-                params, grads, data.features[batch], data.labels[batch]
+    diverged = None
+    for rows, batch in steps:
+        if diverged is not None:  # rows from the diverged one on are done
+            keep = int(np.searchsorted(rows, diverged.row))
+            if not keep:
+                continue
+            rows = rows[:keep]
+            if len(batch) > 1:
+                batch = batch[:keep]
+        lo, r = int(rows[0]), len(rows)
+        gathered = int(rows[-1]) + 1 - lo != r
+        if gathered:
+            models = stack[rows]
+            views = _split(arch, models)
+        else:
+            models, views = stack[lo : lo + r], [view[lo : lo + r] for view in params]
+        losses = _stack_loss_and_grad(
+            views, [view[:r] for view in grads], features[batch], labels[batch]
+        )
+        step = grad[:r]
+        step *= lr
+        models -= step
+        if gathered:
+            stack[rows] = models
+        if not (np.isfinite(losses).all() and np.isfinite(models).all()):
+            finite_loss = np.isfinite(losses)
+            finite = finite_loss & np.isfinite(models).all(axis=1)
+            bad = int(np.argmin(finite))
+            message = (
+                f"local loss became {float(losses[bad])!r}"
+                if not finite_loss[bad]
+                else "parameters became non-finite after an update"
             )
-            finite = np.isfinite(losses)
-            if not finite.all():
-                row = int(np.argmin(finite))
-                loss = float(losses[row])
-                raise TrainingDiverged(f"local loss became {loss!r}", row=row)
-            grad *= lr
-            stack -= grad
-            if not np.isfinite(stack).all():
-                raise TrainingDiverged(
-                    "parameters became non-finite after an update",
-                    row=_first_nonfinite_row(stack),
-                )
-    return stack
+            diverged = TrainingDiverged(message, row=int(rows[bad]))
+    return stack, diverged
+
+
+def _batch_plan(streams, epochs: int, batch_size: int):
+    """The stacked steps of :func:`sgd_train_rows`, in order.
+
+    Returns (features, labels, steps): the streams' datasets concatenated,
+    and one (rows, batch) pair per step.  ``rows`` are the ascending rows
+    that step, and ``batch`` indexes their samples in the concatenation,
+    (1, length) when they all share one stream, else (rows, length).  Each
+    stream draws one permutation per epoch from its own seed, as a lone
+    run does, and cuts it into batches of ``batch_size``, the last short.
+    """
+    index: dict[int, int] = {}
+    distinct, rows_of, row_stream = [], [], []
+    for r, stream in enumerate(streams):
+        u = index.setdefault(id(stream), len(distinct))
+        if u == len(distinct):
+            distinct.append(stream)
+            rows_of.append([])
+        rows_of[u].append(r)
+        row_stream.append(u)
+    sequences = []
+    offset = 0
+    for data, seed in distinct:
+        n, rng = data.n_samples, np.random.default_rng(seed)
+        sequence = []
+        for _ in range(epochs):
+            order = rng.permutation(n) + offset
+            sequence.extend(order[j : j + batch_size] for j in range(0, n, batch_size))
+        sequences.append(sequence)
+        offset += n
+    steps = []
+    for k in range(max(len(sequence) for sequence in sequences)):
+        groups: dict[int, list[int]] = {}
+        for u, sequence in enumerate(sequences):
+            if k < len(sequence):
+                groups.setdefault(len(sequence[k]), []).append(u)
+        for group in groups.values():
+            rows = sorted(r for u in group for r in rows_of[u])
+            if len(group) == 1:
+                batch = sequences[group[0]][k][None]
+            else:
+                batch = np.stack([sequences[row_stream[r]][k] for r in rows])
+            rows = np.array(rows)
+            for lo in range(0, len(rows), _ROW_CAP):
+                hi = lo + _ROW_CAP
+                steps.append((rows[lo:hi], batch if len(batch) == 1 else batch[lo:hi]))
+    features = np.concatenate([data.features for data, _ in distinct])
+    labels = np.concatenate([data.labels for data, _ in distinct])
+    return features, labels, steps
 
 
 def _first_nonfinite_row(stack: np.ndarray) -> int:

@@ -143,7 +143,8 @@ class CoalitionOracle:
 
     def tabulate(self) -> np.ndarray:
         """Every coalition's utility, indexed by mask, each evaluated and
-        audited exactly once."""
+        audited exactly once.  Raises GameError when the batch path
+        yields a mask twice or outside the game."""
         n = self.n_clients
         if n > MAX_ENUM_CLIENTS:
             raise GameError(
@@ -152,9 +153,20 @@ class CoalitionOracle:
         if self._chunks is None:
             return np.array([self.evaluate(Coalition(mask)) for mask in range(2**n)])
         values = np.empty(2**n)
+        seen = np.zeros(2**n, dtype=bool)
         for masks, chunk in self._chunks():
             self._record(masks)
             for mask, value in zip(masks, chunk):
+                if not 0 <= mask < 2**n:
+                    raise GameError(
+                        f"tabulation yielded mask {mask}, outside a game of "
+                        f"{n} clients"
+                    )
+                if seen[mask]:
+                    raise GameError(
+                        f"tabulation yielded coalition {Coalition(mask).members} twice"
+                    )
+                seen[mask] = True
                 values[mask] = _finite_utility(mask, value)
         return values
 

@@ -415,8 +415,7 @@ class TestRetrainingGame:
         def no_training(*args, **kwargs):
             raise AssertionError("trained while constructing")
 
-        monkeypatch.setattr(federation, "sgd_train", no_training)
-        monkeypatch.setattr(federation, "sgd_train_stack", no_training)
+        monkeypatch.setattr(federation, "sgd_train_rows", no_training)
         assert RetrainingGame(tiny_config(n_clients=12, rounds=1)).n_clients == 12
 
 

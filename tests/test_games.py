@@ -177,6 +177,21 @@ class TestShapley:
         with pytest.raises(GameError, match="7 evaluations, expected 8"):
             shapley_exact(oracle)
 
+    @pytest.mark.parametrize("masks, message", [
+        ([0, *range(2**10 - 1)], r"coalition \(\) twice"),
+        ([*range(2**10 - 1), 2**10], "mask 1024, outside a game of 10 clients"),
+        ([*range(2**10 - 1), -1], "mask -1, outside a game of 10 clients"),
+    ])
+    def test_tabulation_that_repeats_a_coalition_is_refused(self, masks, message):
+        game = TableGame(10, np.arange(2**10) ** 1.5)
+
+        def chunks():  # 2^N masks, but the grand coalition never comes
+            yield masks, game.table[np.clip(masks, 0, 2**10 - 1)]
+
+        oracle = CoalitionOracle(game.n_clients, game.value, chunks)
+        with pytest.raises(GameError, match=message):
+            shapley_exact(oracle)
+
     def test_efficiency(self):
         rng = np.random.default_rng(63)
         for _ in range(20):

@@ -1,10 +1,11 @@
 """Lockstep retraining against the per-coalition federation it replaces.
 
 ``RetrainingGame`` trains every coalition round by round, one stacked SGD
-call per (round, client, chunk of coalitions).  The reference is the
-computation from before: one ``_federate`` run per coalition, its final
-model evaluated on its own.  Every comparison is on the uint64 view of
-the float64 results, with no tolerance.
+call per chunk of a round's (client, coalition) rows, client-major.  The
+reference is the computation from before: one sequential federation per
+coalition (``reference_training.federate``), its final model evaluated on
+its own.  Every comparison is on the uint64 view of the float64 results,
+with no tolerance.
 """
 
 import re
@@ -27,9 +28,9 @@ from fedscore.fedsim import (
     sgd_train,
 )
 from fedscore.fedsim import federation
-from fedscore.fedsim.federation import _federate
-from fedscore.fedsim.mlp import HIDDEN_UNITS, sgd_train_stack
+from fedscore.fedsim.mlp import HIDDEN_UNITS, sgd_train_rows
 
+import reference_training
 from conftest import tiny_config
 
 
@@ -55,13 +56,12 @@ def configs(draw):
 
 
 def reference_table(game):
-    """v(S) per mask from one _federate run per coalition."""
+    """v(S) per mask from one sequential federation per coalition."""
     ev = game._evaluator
     table = [ev(game._m_init)]
     for mask in range(1, 1 << game.n_clients):
-        transcripts = _federate(
-            game.config, game._arch, game._m_init, game._shards,
-            Coalition(mask).members,
+        transcripts, _ = reference_training.federate(
+            game.config, Coalition(mask).members
         )
         table.append(ev(transcripts[-1].m))
     return np.array(table)
@@ -102,10 +102,11 @@ def test_stacked_rows_match_lone_training(k, n, batch_size, epochs, seed):
     data = LabeledDataset(rng.normal(size=(n, 5)), rng.integers(0, 3, size=n), 3)
     jitter = rng.normal(0.0, 0.05, size=(k, arch.n_params))
     stack = init_params(arch, seed).values + jitter
-    kw = dict(epochs=epochs, lr=0.3, batch_size=batch_size, seed=[seed, 1])
-    out = sgd_train_stack(arch, stack, data, **kw)
+    kw = dict(epochs=epochs, lr=0.3, batch_size=batch_size)
+    out, diverged = sgd_train_rows(arch, stack, [(data, [seed, 1])] * k, **kw)
+    assert diverged is None
     for row in range(k):
-        alone = sgd_train(arch, ModelParams(stack[row]), data, **kw)
+        alone = sgd_train(arch, ModelParams(stack[row]), data, seed=[seed, 1], **kw)
         assert np.array_equal(bits(out[row]), bits(alone.values))
 
 
@@ -114,9 +115,9 @@ def test_short_last_batch_and_single_row():
     arch = MlpArch(in_dim=4, n_classes=3)
     data = LabeledDataset(rng.normal(size=(17, 4)), rng.integers(0, 3, size=17), 3)
     params = init_params(arch, seed=4)
-    kw = dict(epochs=2, lr=0.2, batch_size=8, seed=9)  # batches of 8, 8, 1
-    lone = sgd_train(arch, params, data, **kw)
-    single = sgd_train_stack(arch, params.values[None], data, **kw)
+    kw = dict(epochs=2, lr=0.2, batch_size=8)  # batches of 8, 8, 1
+    lone = sgd_train(arch, params, data, seed=9, **kw)
+    single, _ = sgd_train_rows(arch, params.values[None], [(data, 9)], **kw)
     assert single.shape == (1, arch.n_params)
     assert np.array_equal(bits(single[0]), bits(lone.values))
 
@@ -150,16 +151,19 @@ def test_value_before_tabulation_matches_the_table():
 
 
 def _poison(monkeypatch, round_, client, row, corrupt):
-    """Corrupt one row of the stacked call training ``client`` in ``round_``."""
-    real = federation.sgd_train_stack
+    """Corrupt the ``row``-th row training ``client`` in ``round_`` of the
+    stacked call that trains it."""
+    real = federation.sgd_train_rows
 
-    def patched(arch, stack, data, **kw):
-        if list(kw["seed"][2:]) == [round_, client]:
+    def patched(arch, stack, streams, **kw):
+        mine = [r for r, (_, seed) in enumerate(streams)
+                if list(seed[2:]) == [round_, client]]
+        if mine:
             stack = stack.copy()
-            return corrupt(real, arch, stack, data, row, **kw)
-        return real(arch, stack, data, **kw)
+            return corrupt(real, arch, stack, streams, mine[row], **kw)
+        return real(arch, stack, streams, **kw)
 
-    monkeypatch.setattr(federation, "sgd_train_stack", patched)
+    monkeypatch.setattr(federation, "sgd_train_rows", patched)
 
 
 def _masks_with(client, n):
@@ -170,13 +174,13 @@ def test_diverging_row_names_client_round_and_coalition(monkeypatch):
     config = tiny_config(n_clients=4, rounds=3)
     d, h, k = config.dataset.dim, HIDDEN_UNITS, config.dataset.n_classes
 
-    def overflow(real, arch, stack, data, row, **kw):
+    def overflow(real, arch, stack, streams, row, **kw):
         # hidden units saturate positive and every output weight is huge,
         # so the logits overflow and the loss of this row goes non-finite
         stack[row] = 0.0
         stack[row, d * h : d * h + h] = 1.0
         stack[row, (d + 1) * h : (d + 1) * h + h * k] = 1e307
-        return real(arch, stack, data, **kw)
+        return real(arch, stack, streams, **kw)
 
     _poison(monkeypatch, round_=2, client=1, row=3, corrupt=overflow)
     expect = Coalition(_masks_with(1, 4)[3]).members
@@ -192,10 +196,10 @@ def test_diverging_row_names_client_round_and_coalition(monkeypatch):
 def test_non_finite_coalition_model_names_the_coalition(monkeypatch):
     config = tiny_config(n_clients=4, rounds=2)
 
-    def infinite(real, arch, stack, data, row, **kw):
-        out = real(arch, stack, data, **kw)
+    def infinite(real, arch, stack, streams, row, **kw):
+        out, diverged = real(arch, stack, streams, **kw)
         out[row] = np.inf
-        return out
+        return out, diverged
 
     _poison(monkeypatch, round_=1, client=2, row=1, corrupt=infinite)
     expect = Coalition(_masks_with(2, 4)[1]).members
@@ -210,4 +214,4 @@ def test_kernel_refuses_a_non_finite_stack():
     stack = np.zeros((3, arch.n_params))
     stack[2, 5] = np.nan
     with pytest.raises(ModelError, match="row 2"):
-        sgd_train_stack(arch, stack, data, epochs=1, lr=0.1, batch_size=2, seed=0)
+        sgd_train_rows(arch, stack, [(data, 0)] * 3, epochs=1, lr=0.1, batch_size=2)
