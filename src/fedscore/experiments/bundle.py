@@ -69,14 +69,47 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+# Per block type: its run.json name, whether it scores the base
+# federations (given the block), and how it runs.  Each call looks its
+# component up by module-level name when it runs, so a rebound name (a
+# tracer's wrapper) is the one called.
+_BLOCKS = {
+    AblationBlock: (
+        "ablation", lambda block: block.axis == "round",
+        lambda scenario, contexts: ablation(scenario, contexts),
+    ),
+    WeightedBlock: (
+        "weighted_aggregation", lambda block: False,
+        lambda scenario, _: weighted_aggregation(scenario),
+    ),
+    MisbehaviorBlock: (
+        "misbehavior", lambda block: False,
+        lambda scenario, _: misbehavior(scenario),
+    ),
+    InfluenceBlock: (
+        "influence", lambda block: True,
+        lambda scenario, contexts: influence_summary(scenario, contexts),
+    ),
+    ManipulationBlock: (
+        "manipulation", lambda block: True,
+        lambda scenario, contexts: manipulation_summary(scenario, contexts),
+    ),
+}
+
+
 def run_scenario(path, out_dir=None, master_seed=None):
     """Parse, execute, and persist a scenario; returns the bundle dir.
 
-    Runs rank fidelity always, the ablation block if present, then every
-    downstream block.  The base federations are trained once and shared
-    by rank fidelity, the round-axis ablation, influence, and
-    manipulation; weighted aggregation and misbehavior train their own
-    federations because they change the split and the labels.
+    The base federations are trained once and shared by rank fidelity,
+    a round-axis ablation, influence, and manipulation; weighted
+    aggregation, misbehavior and an n_clients or mu ablation train their
+    own, because they change the split, the labels or the federation.
+    The components that read the base federations run first, in scenario
+    order; then every reference to the base federations, their scoring
+    caches included, is dropped, so they are freed before the others
+    train, again in scenario order.  So the execution order can differ
+    from the scenario order that ``run.json`` lists; the tables do not
+    depend on it.
     """
     scenario = parse_scenario(path, name=_stem(path))
     if master_seed is not None:
@@ -88,31 +121,22 @@ def run_scenario(path, out_dir=None, master_seed=None):
     tables_dir = os.path.join(out_dir, "tables")
     os.makedirs(tables_dir, exist_ok=True)
 
+    components = [(
+        "rank_fidelity", True,
+        lambda scenario, contexts: rank_fidelity(scenario, contexts),
+    )]
+    for block in (scenario.ablation, *scenario.downstream):
+        if block is not None:
+            name, reads_base, run = _BLOCKS[type(block)]
+            components.append((name, reads_base(block), run))
     contexts = run_repeats(scenario)
-    # Each lambda looks its component up by module-level name when it
-    # runs, so a rebound name (a tracer's wrapper) is the one called.
-    by_block = {
-        AblationBlock: ("ablation", lambda: ablation(scenario, contexts)),
-        WeightedBlock: (
-            "weighted_aggregation", lambda: weighted_aggregation(scenario)
-        ),
-        MisbehaviorBlock: ("misbehavior", lambda: misbehavior(scenario)),
-        InfluenceBlock: (
-            "influence", lambda: influence_summary(scenario, contexts)
-        ),
-        ManipulationBlock: (
-            "manipulation", lambda: manipulation_summary(scenario, contexts)
-        ),
-    }
-    blocks = [
-        b for b in (scenario.ablation, *scenario.downstream) if b is not None
-    ]
-    components = [("rank_fidelity", lambda: rank_fidelity(scenario, contexts))]
-    components += [by_block[type(b)] for b in blocks]
     files = []
-    for _, component in components:
-        for name, header, rows in component():
-            files += write_table(tables_dir, name, header, rows)
+    for base in (True, False):
+        for _, reads_base, run in components:
+            if reads_base == base:
+                for name, header, rows in run(scenario, contexts):
+                    files += write_table(tables_dir, name, header, rows)
+        contexts = None  # frees the base federations and their caches
 
     seeds_path = os.path.join(out_dir, "seeds.json")
     with open(seeds_path, "w", encoding="utf-8") as fh:
@@ -141,7 +165,7 @@ def run_scenario(path, out_dir=None, master_seed=None):
         fh.write(json.dumps(
             {
                 "scenario": scenario.name,
-                "components": [name for name, _ in components],
+                "components": [name for name, *_ in components],
                 "tables": sorted(files),
             },
             sort_keys=True, separators=(",", ":"),

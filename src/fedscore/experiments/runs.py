@@ -305,6 +305,16 @@ def _round_scores(method, ctx, t):
     return per_round[method]()
 
 
+def _relabeled(scenario, rates):
+    """IID copy of the scenario in which client i flips labels at
+    rates[i].  The ablation is dropped: it was checked against the
+    scenario's own federation, and an n_clients value would not fit the
+    per-client rates."""
+    return scenario_with(
+        dataclasses.replace(scenario, ablation=None), iid=True, noise_rates=rates
+    )
+
+
 def weighted_aggregation(scenario):
     """Per-round score-weighted aggregates evaluated by negative test loss.
 
@@ -319,8 +329,7 @@ def weighted_aggregation(scenario):
     block = _block(scenario, WeightedBlock) or WeightedBlock()
     n = scenario.federation.n_clients
     rates = block.rates if block.rates is not None else linear_rates(n)
-    noisy = scenario_with(scenario, iid=True, noise_rates=rates)
-    contexts = run_repeats(noisy)
+    contexts = run_repeats(_relabeled(scenario, rates))
     methods = tuple(m for m in scenario.methods if m != "SV")
 
     curves = []
@@ -404,8 +413,7 @@ def misbehavior(scenario):
     rates = tuple(
         block.rate if i == block.attacker else 0.0 for i in range(n)
     )
-    attacked = scenario_with(scenario, iid=True, noise_rates=rates)
-    contexts = run_repeats(attacked)
+    contexts = run_repeats(_relabeled(scenario, rates))
 
     methods = tuple(m for m in scenario.methods if m != "SV")
     score_runs = {m: [] for m in methods}

@@ -364,9 +364,9 @@ def _federate(
             (prepared[f][0][i], [configs[f].seed, _SEED_TRAIN, t, i])
             for f in running for i in range(configs[f].n_clients)
         ]
-        starts = np.concatenate([
-            np.tile(m0[f].values, (configs[f].n_clients, 1)) for f in running
-        ])
+        # The start rows are references to each federation's model, so
+        # the trainer's copy is the round's only start stack.
+        starts = [m0[f].values for f in running for _ in range(configs[f].n_clients)]
         local, diverged = sgd_train_rows(
             arch, starts, streams, epochs=first.local_epochs, lr=first.lr,
             batch_size=first.batch_size,

@@ -283,13 +283,16 @@ def sgd_train(
 
 def sgd_train_rows(
     arch: MlpArch,
-    stack: np.ndarray,
+    stack: np.ndarray | Sequence[np.ndarray],
     streams: Sequence[tuple[LabeledDataset, object]],
     epochs: int,
     lr: float,
     batch_size: int,
 ) -> tuple[np.ndarray, TrainingDiverged | None]:
     """:func:`sgd_train` on every row of a (R, n_params) stack at once.
+
+    ``stack`` may also be a sequence of R parameter vectors; either way
+    the rows are copied into one new stack, which is trained in place.
 
     Row r trains on its own stream ``streams[r]``, a (data, seed) pair;
     rows may share one, and a pair object passed for several rows is
@@ -322,7 +325,8 @@ def sgd_train_rows(
     if not len(stack):
         return stack, None
     features, labels, steps = _batch_plan(streams, epochs, batch_size)
-    grad = np.empty_like(stack)
+    # No step takes more than _ROW_CAP rows, so neither does the buffer.
+    grad = np.empty((min(len(stack), _ROW_CAP), stack.shape[1]))
     # Views into the two buffers, which are only ever updated in place.
     params, grads = _split(arch, stack), _split(arch, grad)
     diverged = None

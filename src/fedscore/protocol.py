@@ -165,7 +165,7 @@ def influence_matrix(utilities: RoundUtilities) -> InfluenceMatrix:
     return InfluenceMatrix(entries, normalized, tuple(flagged))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """Effect of one misreport on one scorer."""
 

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from fedscore import (
     scores_from_csv,
     utilities_from_transcript,
 )
+from fedscore.experiments import bundle as bundle_module
 from fedscore.experiments import runs
 from fedscore.experiments import (
     AblationBlock,
@@ -636,6 +638,77 @@ class TestBundles:
         a = (bundle / "tables" / "rank_fidelity.csv").read_bytes()
         b = (other / "tables" / "rank_fidelity.csv").read_bytes()
         assert a != b
+
+
+class TestExecutionOrder:
+    """run_scenario scores the base federations first and frees them
+    before the blocks that train their own federations run."""
+
+    def test_base_contexts_are_dead_before_self_training_blocks(
+        self, tmp_path, monkeypatch
+    ):
+        refs = []
+
+        def tracked_repeats(scenario):
+            contexts = run_repeats(scenario)
+            refs.extend(weakref.ref(ctx) for ctx in contexts)
+            return contexts
+
+        alive = {}
+
+        def recording(name, component):
+            def wrapper(scenario):
+                alive[name] = [ref() is not None for ref in refs]
+                return component(scenario)
+            return wrapper
+
+        monkeypatch.setattr(bundle_module, "run_repeats", tracked_repeats)
+        for name, component in (("weighted_aggregation", weighted_aggregation),
+                                ("misbehavior", misbehavior)):
+            monkeypatch.setattr(bundle_module, name, recording(name, component))
+        path = tmp_path / "tiny.scenario"
+        path.write_text(TINY_SCENARIO + DOWNSTREAM_BLOCKS)
+        run_scenario(str(path), out_dir=str(tmp_path / "out"))
+        assert len(refs) == 2
+        assert alive == {
+            "weighted_aggregation": [False, False],
+            "misbehavior": [False, False],
+        }
+
+    def test_n_clients_ablation_tables_match_scenario_order(self, tmp_path):
+        # The ablation retrains per value, so it runs after influence and
+        # manipulation; every table must match running the components in
+        # scenario order on one shared set of contexts.
+        text = (TINY_SCENARIO + DOWNSTREAM_BLOCKS).replace(
+            "axis = round\nvalues = 1, 2", "axis = n_clients\nvalues = 2, 3")
+        path = tmp_path / "tiny.scenario"
+        path.write_text(text)
+        out = tmp_path / "out"
+        run_scenario(str(path), out_dir=str(out))
+
+        sc = parse_scenario(str(path), name="tiny")
+        assert sc.ablation.axis == "n_clients"
+        contexts = run_repeats(sc)
+        expected = tmp_path / "expected"
+        for tables in (
+            rank_fidelity(sc, contexts),
+            ablation(sc),
+            weighted_aggregation(sc),
+            misbehavior(sc),
+            influence_summary(sc, contexts),
+            manipulation_summary(sc, contexts),
+        ):
+            for name, header, rows in tables:
+                write_table(str(expected), name, header, rows)
+        names = sorted(os.listdir(expected))
+        assert sorted(os.listdir(out / "tables")) == names
+        for name in names:
+            assert (out / "tables" / name).read_bytes() == (
+                expected / name).read_bytes(), name
+        assert json.loads((out / "run.json").read_text())["components"] == [
+            "rank_fidelity", "ablation", "weighted_aggregation",
+            "misbehavior", "influence", "manipulation",
+        ]
 
 
 class TestWriteTable:

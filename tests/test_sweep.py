@@ -10,6 +10,8 @@ with no tolerance.  N runs across 8 and 9 so that N - 1 crosses the
 8-wide unrolled summation loop.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,17 @@ def test_ee_numerator_never_moves(u, data):
     for row in manipulation_sweep(u, strategies):
         if row.scorer == "EE":
             assert bits(row.numerator_delta) == bits(0.0)
+
+
+def test_sweep_rows_have_slots_and_stay_replaceable():
+    u = RoundUtilities(0.0, 1.0, np.array([0.5, 0.75]), np.array([0.25, 0.5]))
+    row = manipulation_sweep(u, standard_strategies(2))[0]
+    assert not hasattr(row, "__dict__")
+    moved = dataclasses.replace(row, numerator_delta=1e-12)
+    assert moved.numerator_delta == 1e-12
+    assert (moved.scorer, moved.strategy) == (row.scorer, row.strategy)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.own_delta = 0.0
 
 
 class TestFallbackRows:
