@@ -5,12 +5,18 @@ snapshot, the seed list, and a checksum manifest.  Table bytes are fully
 deterministic (repr floats, sorted JSON keys, \\n newlines), so rerunning
 a scenario must reproduce every checksum; only the bundle directory's
 default name carries a timestamp.
+
+A bundle is written into a sibling temporary directory and moved into
+place entry by entry, its checksum manifest last, so a run that fails
+or is cut short leaves nothing that :func:`verify_bundle` accepts.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 import time
 
 from .runs import (
@@ -69,6 +75,11 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+# A bundle's entries, its manifest first: an old bundle is removed in this
+# order, so what is left of it never verifies.
+_ENTRIES = ("checksums.json", "run.json", "seeds.json", "scenario.snapshot", "tables")
+
+
 # Per block type: its run.json name, whether it scores the base
 # federations (given the block), and how it runs.  Each call looks its
 # component up by module-level name when it runs, so a rebound name (a
@@ -110,6 +121,10 @@ def run_scenario(path, out_dir=None, master_seed=None):
     train, again in scenario order.  So the execution order can differ
     from the scenario order that ``run.json`` lists; the tables do not
     depend on it.
+
+    An older bundle in ``out_dir`` is removed before anything runs, and
+    the new one is written next to ``out_dir`` and moved into it at the
+    end; other files in ``out_dir`` are left alone.
     """
     scenario = parse_scenario(path, name=_stem(path))
     if master_seed is not None:
@@ -118,8 +133,30 @@ def run_scenario(path, out_dir=None, master_seed=None):
     if out_dir is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join("results", f"{scenario.name}-{stamp}")
+    os.makedirs(out_dir, exist_ok=True)
+    for name in _ENTRIES:
+        target = os.path.join(out_dir, name)
+        if os.path.isdir(target):
+            shutil.rmtree(target)
+        elif os.path.lexists(target):
+            os.remove(target)
+    full = os.path.abspath(out_dir)
+    staging = tempfile.mkdtemp(
+        prefix=f".{os.path.basename(full)}-", dir=os.path.dirname(full)
+    )
+    try:
+        _write_bundle(path, scenario, staging)
+        for name in sorted(os.listdir(staging), key=lambda n: n == _ENTRIES[0]):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return out_dir
+
+
+def _write_bundle(path, scenario, out_dir):
+    """Run every component of the scenario and write its bundle."""
     tables_dir = os.path.join(out_dir, "tables")
-    os.makedirs(tables_dir, exist_ok=True)
+    os.makedirs(tables_dir)
 
     components = [(
         "rank_fidelity", True,
@@ -171,7 +208,6 @@ def run_scenario(path, out_dir=None, master_seed=None):
             sort_keys=True, separators=(",", ":"),
         ))
         fh.write("\n")
-    return out_dir
 
 
 def _stem(path):

@@ -26,7 +26,7 @@ from ..fedsim import (
     run_federations,
 )
 from ..fedsim.mlp import MlpArch, ModelParams
-from ..games import ScoreVector, shapley_exact
+from ..games import ScoreVector, shapley_exact_all
 from ..metrics import (
     detection_rate,
     l2_distance,
@@ -41,7 +41,7 @@ from ..scoring import (
     fp,
     ioi,
     loo,
-    mr_shapley_rows,
+    mr_shapley_games,
     utilities_from_transcript,
 )
 from .scenario import (
@@ -123,32 +123,50 @@ def audited_round_utilities(transcript, evaluator):
     return utilities
 
 
-def _cached(ctx, key, compute):
+def round_utilities(ctx, rnd):
+    """Round rnd's audited 2N+2 utilities, extracted once per context."""
+    key = ("utilities", rnd)
     if key not in ctx.cache:
-        ctx.cache[key] = compute()
+        ctx.cache[key] = audited_round_utilities(
+            ctx.transcripts[rnd - 1], ctx.evaluator
+        )
     return ctx.cache[key]
 
 
-def round_utilities(ctx, rnd):
-    """Round rnd's audited 2N+2 utilities, extracted once per context."""
-    return _cached(ctx, ("utilities", rnd), lambda: audited_round_utilities(
-        ctx.transcripts[rnd - 1], ctx.evaluator
-    ))
+def _reference_games(ctx, key):
+    """The exact-Shapley games behind a cached reference: MR-SV's round
+    games of rounds 1..horizon, or SV's horizon-round retraining game."""
+    method, horizon = key
+    if method == "MR-SV":
+        return mr_shapley_games(ctx.transcripts[:horizon], ctx.evaluator)
+    return [RetrainingGame(dataclasses.replace(ctx.config, rounds=horizon)).oracle()]
 
 
-def _mr_rows(ctx, horizon):
-    """Per-round Shapley rows of rounds 1..horizon, computed once per
-    context; the round games of one call run concurrently."""
-    return _cached(ctx, ("MR-SV", horizon), lambda: mr_shapley_rows(
-        ctx.transcripts[:horizon], ctx.evaluator
-    ))
+def _tabulate_references(contexts, methods, horizon):
+    """Cache every context's MR-SV rows and SV at this horizon, for the
+    methods among ``methods``, unless cached already.
+
+    The games are built context by context in method order, and all are
+    solved in one :func:`shapley_exact_all` call, so they run on worker
+    processes together and a failure is the first in that order.
+    """
+    todo = []
+    for ctx in contexts:
+        for method in dict.fromkeys(methods):
+            key = (method, horizon)
+            if method in ("MR-SV", "SV") and key not in ctx.cache:
+                todo.append((ctx, key, _reference_games(ctx, key)))
+    vectors = iter(shapley_exact_all([g for *_, games in todo for g in games]))
+    for ctx, key, games in todo:
+        rows = np.array([next(vectors).scores for _ in games])
+        ctx.cache[key] = rows if key[0] == "MR-SV" else rows[0]
 
 
-def _true_shapley(ctx, horizon):
-    def compute():
-        game = RetrainingGame(dataclasses.replace(ctx.config, rounds=horizon))
-        return shapley_exact(game.oracle()).scores
-    return _cached(ctx, ("SV", horizon), compute)
+def _reference(ctx, method, horizon):
+    """MR-SV's per-round rows or SV's scores at this horizon, computed
+    once per context."""
+    _tabulate_references([ctx], [method], horizon)
+    return ctx.cache[(method, horizon)]
 
 
 def _utility_rule(method):
@@ -167,7 +185,8 @@ def method_scores(method, ctx, eval_round, horizon):
     COS sums and MR-SV averages the per-round scores of rounds
     1..horizon; SV is the exact Shapley value of the horizon-round
     retraining game.  Utilities, MR-SV rows and SV are computed at most
-    once per context.
+    once per context; the components tabulate every context's MR-SV and
+    SV games up front (``_tabulate_references``).
     """
     rule = _utility_rule(method)
     if rule is not None:
@@ -176,9 +195,9 @@ def method_scores(method, ctx, eval_round, horizon):
     if method == "COS":
         return cos_accumulated(ctx.transcripts[:horizon])
     if method == "MR-SV":
-        scores = _mr_rows(ctx, horizon).mean(axis=0)
+        scores = _reference(ctx, method, horizon).mean(axis=0)
     elif method == "SV":
-        scores = _true_shapley(ctx, horizon)
+        scores = _reference(ctx, method, horizon)
     else:
         raise ExperimentError(f"unknown method {method!r}")
     return ScoreVector(method, scores, round=horizon)
@@ -220,6 +239,7 @@ def rank_fidelity(scenario, contexts=None):
         contexts = run_repeats(scenario)
     horizon = _horizon(scenario)
     reference = REFERENCE_METHODS[scenario.reference]
+    _tabulate_references(contexts, (reference, *scenario.methods), horizon)
     per_repeat = []
     for ctx in contexts:
         ref = method_scores(reference, ctx, scenario.eval_round, horizon).scores
@@ -300,7 +320,7 @@ def _round_scores(method, ctx, t):
         return rule(round_utilities(ctx, t.round)).scores
     per_round = {
         "COS": lambda: cos_score(t).scores,
-        "MR-SV": lambda: _mr_rows(ctx, len(ctx.transcripts))[t.round - 1],
+        "MR-SV": lambda: _reference(ctx, method, len(ctx.transcripts))[t.round - 1],
     }
     return per_round[method]()
 
@@ -331,6 +351,7 @@ def weighted_aggregation(scenario):
     rates = block.rates if block.rates is not None else linear_rates(n)
     contexts = run_repeats(_relabeled(scenario, rates))
     methods = tuple(m for m in scenario.methods if m != "SV")
+    _tabulate_references(contexts, methods, scenario.federation.rounds)
 
     curves = []
     flagged = []
@@ -416,6 +437,7 @@ def misbehavior(scenario):
     contexts = run_repeats(_relabeled(scenario, rates))
 
     methods = tuple(m for m in scenario.methods if m != "SV")
+    _tabulate_references(contexts, methods, eval_round)
     score_runs = {m: [] for m in methods}
     per_repeat = []
     for ctx in contexts:

@@ -187,7 +187,9 @@ class ModelEvaluator:
     """Fixed-test-set utility v(model); counts every evaluation.
 
     utility_kind "accuracy" is the mean test accuracy, "neg_loss" the
-    negative mean test cross-entropy.  Thread safe.
+    negative mean test cross-entropy.  Thread safe, so threads may share
+    one evaluator; a forked copy that evaluates on a worker process
+    counts there, and ``add_calls`` adds that count back.
     """
 
     def __init__(self, arch: MlpArch, test: LabeledDataset, utility_kind: str = "neg_loss"):
@@ -226,6 +228,11 @@ class ModelEvaluator:
         with self._lock:
             return self._count
 
+    def add_calls(self, count: int) -> None:
+        """Count evaluations that a forked copy of this evaluator made."""
+        with self._lock:
+            self._count += count
+
 
 def model_eval_oracle(test: LabeledDataset, utility_kind: str = "neg_loss") -> ModelEvaluator:
     """Evaluator over models for the fixed test set; the architecture is
@@ -254,12 +261,13 @@ def round_oracle(
         _check_models([coalition.mask], model[None])
         return float(evaluator(ModelParams(model)))
 
-    chunks = None
-    if isinstance(evaluator, ModelEvaluator):
-        def chunks():
-            return _evaluate_chunks(evaluator, _coalition_models(transcript))
+    if not isinstance(evaluator, ModelEvaluator):
+        return CoalitionOracle(transcript.n_clients, value)
 
-    return CoalitionOracle(transcript.n_clients, value, chunks)
+    def chunks():
+        return _evaluate_chunks(evaluator, _coalition_models(transcript))
+
+    return CoalitionOracle(transcript.n_clients, value, chunks, evaluator)
 
 
 def _check_models(masks: Sequence[int], stack: np.ndarray) -> None:
@@ -486,6 +494,7 @@ class RetrainingGame:
         return CoalitionOracle(
             self.n_clients, self.value,
             lambda: self._retrain(range(1 << self.n_clients)),
+            self._evaluator,
         )
 
     def _retrain(self, masks: Sequence[int]):

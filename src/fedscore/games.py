@@ -12,6 +12,7 @@ exact evaluation budget of each scoring method.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -98,8 +99,9 @@ class CoalitionOracle:
     ``call_count`` goes up by exactly one per evaluated coalition and the
     mask of every evaluated coalition lands in the audit log, so a test can
     assert both how many utility evaluations a method consumed and which
-    coalitions it was allowed to see.  Thread safe: the retraining game
-    and bulk tabulation may be driven from worker threads.
+    coalitions it was allowed to see.  Thread safe, so threads may share
+    one oracle; :func:`shapley_exact_all` tabulates forked copies on
+    worker processes and adds their audits back to the originals.
 
     Args:
         n_clients: size of the player set; coalitions must stay within it.
@@ -110,6 +112,10 @@ class CoalitionOracle:
             evaluate stacked coalition models, retraining games to train
             every coalition in lockstep; either way each utility must be
             the one ``fn`` returns for that coalition.
+        evaluator: optional model evaluator that tabulation counts its
+            evaluations on (anything with ``call_count`` and
+            ``add_calls``); :func:`shapley_exact_all` adds a worker's
+            count to it.
     """
 
     def __init__(
@@ -117,12 +123,14 @@ class CoalitionOracle:
         n_clients: int,
         fn: Callable[[Coalition], float],
         chunks: Callable[[], Iterable[tuple[Sequence[int], np.ndarray]]] | None = None,
+        evaluator=None,
     ):
         if n_clients < 1:
             raise GameError(f"need at least one client, got {n_clients}")
         self.n_clients = int(n_clients)
         self._fn = fn
         self._chunks = chunks
+        self.evaluator = evaluator
         self._lock = threading.Lock()
         self._count = 0
         self._audit: list[int] = []
@@ -340,6 +348,79 @@ def shapley_exact(oracle: CoalitionOracle) -> ScoreVector:
         gains = values[without | (1 << i)] - values[without]
         out[i] = float(np.sum(weights[sizes[without]] * gains))
     return ScoreVector("SV", out)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A worker process's forked copies of the parent's oracles, set when the
+# worker starts (initargs are inherited by fork, never pickled).
+_worker_oracles: Sequence[CoalitionOracle] = ()
+
+
+def _adopt(oracles: Sequence[CoalitionOracle]) -> None:
+    global _worker_oracles
+    _worker_oracles = oracles
+
+
+def _counted(oracle: CoalitionOracle) -> int:
+    return 0 if oracle.evaluator is None else oracle.evaluator.call_count
+
+
+def _shapley_in_worker(k: int):
+    """Game k's exact Shapley scores, the masks its tabulation audited,
+    and the evaluations it counted on its evaluator."""
+    oracle = _worker_oracles[k]
+    audited, counted = oracle.call_count, _counted(oracle)
+    scores = shapley_exact(oracle).scores
+    return scores, oracle.audit_log[audited:], _counted(oracle) - counted
+
+
+def shapley_exact_all(oracles: Sequence[CoalitionOracle]) -> list[ScoreVector]:
+    """:func:`shapley_exact` of independent games, in order.
+
+    The games are tabulated on ``min(games, usable CPUs)`` forked worker
+    processes, one task per game; the chunk loops hold the GIL between
+    their numpy kernels, so threads could not share the work.  They run
+    here one after another instead when that is one worker, when the
+    platform cannot fork, or when this process runs other threads (a
+    fork would copy the locks they hold).
+
+    Each worker audits its game at 2^N evaluations, and the parent adds
+    that audit to the oracle and that count to the oracle's evaluator,
+    so every count reads as if the games had run here.  A failure is
+    raised as running the games in order would meet it first: the
+    lowest failing game's exception, type, message and attributes kept,
+    after the games before it are counted.  No worker outlives the call.
+    """
+    oracles = list(oracles)
+    workers = min(len(oracles), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [shapley_exact(oracle) for oracle in oracles]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt, initargs=(oracles,),
+    )
+    try:
+        tasks = [pool.submit(_shapley_in_worker, k) for k in range(len(oracles))]
+        out = []
+        for oracle, task in zip(oracles, tasks):
+            scores, audit, counted = task.result()
+            oracle._record(audit)
+            if counted:
+                oracle.evaluator.add_calls(counted)
+            out.append(ScoreVector("SV", scores))
+        return out
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def save_table_game(game: TableGame, path) -> None:

@@ -20,14 +20,19 @@ along with (de)serialisation of score tables.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import SHAPLEY_MAX_CLIENTS, Coalition, ScoreVector, TableGame, shapley_exact
+from .games import (
+    SHAPLEY_MAX_CLIENTS,
+    Coalition,
+    CoalitionOracle,
+    ScoreVector,
+    TableGame,
+    shapley_exact_all,
+)
 from .fedsim.federation import RoundTranscript, round_oracle
 
 # Sums this close to zero make the efficiency rescale meaningless; the
@@ -326,16 +331,13 @@ def utilities_from_transcript(
     return _probe_set(transcript.n_clients, round_oracle(transcript, evaluator).evaluate)
 
 
-def mr_shapley_rows(
+def mr_shapley_games(
     transcripts: Sequence[RoundTranscript], evaluator: Callable
-) -> np.ndarray:
-    """Exact Shapley of every round game, one row per round in round order.
+) -> list[CoalitionOracle]:
+    """The round games of an MR-SV reference, one per transcript in order.
 
-    Costs exactly 2^N evaluator calls per round, audited by
-    :func:`shapley_exact`, so it is capped at ``SHAPLEY_MAX_CLIENTS``
-    clients.  The round games are independent, so they run on a thread
-    pool bounded by the CPU count; the stacked model evaluations release
-    the GIL.
+    Each costs exactly 2^N evaluator calls to solve, so N is capped at
+    ``SHAPLEY_MAX_CLIENTS`` clients; every round needs the same N.
     """
     transcripts = list(transcripts)
     if not transcripts:
@@ -351,11 +353,21 @@ def mr_shapley_rows(
             raise ScoringError(
                 f"round {t.round} has {t.n_clients} clients, expected {n}"
             )
-    workers = min(len(transcripts), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(
-            lambda t: shapley_exact(round_oracle(t, evaluator)).scores, transcripts
-        )))
+    return [round_oracle(t, evaluator) for t in transcripts]
+
+
+def mr_shapley_rows(
+    transcripts: Sequence[RoundTranscript], evaluator: Callable
+) -> np.ndarray:
+    """Exact Shapley of every round game, one row per round in round order.
+
+    Costs exactly 2^N evaluator calls per round, audited by
+    :func:`shapley_exact`.  The round games are independent, so
+    :func:`shapley_exact_all` runs them on worker processes; the counts
+    on ``evaluator`` read as if they had run here.
+    """
+    games = mr_shapley_games(transcripts, evaluator)
+    return np.array([vector.scores for vector in shapley_exact_all(games)])
 
 
 def mr_shapley(

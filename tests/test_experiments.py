@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -709,6 +710,51 @@ class TestExecutionOrder:
             "rank_fidelity", "ablation", "weighted_aggregation",
             "misbehavior", "influence", "manipulation",
         ]
+
+
+class TestBundleReplacement:
+    """run_scenario builds the bundle beside out_dir and moves it in last,
+    so a failed run leaves nothing that verifies and no stale tables."""
+
+    def old_bundle(self, tmp_path):
+        path = tmp_path / "tiny.scenario"
+        path.write_text(TINY_SCENARIO + DOWNSTREAM_BLOCKS)
+        out = tmp_path / "out"
+        run_scenario(str(path), out_dir=str(out))
+        assert verify_bundle(str(out)) == []
+        (out / "notes.txt").write_text("kept\n")
+        return path, out
+
+    @pytest.mark.parametrize("error", [RuntimeError, BrokenProcessPool])
+    def test_failed_run_leaves_nothing_that_verifies(
+        self, tmp_path, monkeypatch, error
+    ):
+        path, out = self.old_bundle(tmp_path)
+
+        def broken(scenario):
+            raise error("component failed")
+
+        monkeypatch.setattr(bundle_module, "misbehavior", broken)
+        with pytest.raises(error, match="component failed"):
+            run_scenario(str(path), out_dir=str(out))
+        with pytest.raises(FileNotFoundError):
+            verify_bundle(str(out))
+        assert sorted(os.listdir(out)) == ["notes.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["out", "tiny.scenario"]
+
+    def test_rerun_replaces_every_table_of_an_older_bundle(self, tmp_path):
+        path, out = self.old_bundle(tmp_path)
+        smaller = tmp_path / "smaller.scenario"
+        smaller.write_text(TINY_SCENARIO)
+        run_scenario(str(smaller), out_dir=str(out))
+        assert verify_bundle(str(out)) == []
+        assert sorted(os.listdir(out / "tables")) == [
+            "rank_fidelity.csv", "rank_fidelity.json",
+            "rank_fidelity_per_seed.csv", "rank_fidelity_per_seed.json",
+        ]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == [
+            "out", "smaller.scenario", "tiny.scenario"]
 
 
 class TestWriteTable:

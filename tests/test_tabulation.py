@@ -242,7 +242,9 @@ def _caught(fn):
     return info.value
 
 
-# np.errstate is thread-local and mr_shapley adds on its pool threads.
+# np.errstate reaches only this thread's context; the filter keeps the
+# test independent of where shapley_exact_all solves the games (a lone
+# game runs in this process, several on forked worker processes).
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_coalition_model_is_refused_like_per_coalition_path():
     # Each update is finite and so is the aggregate, but the coalition
