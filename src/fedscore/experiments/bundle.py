@@ -146,7 +146,7 @@ def run_scenario(path, out_dir=None, master_seed=None):
     )
     try:
         _write_bundle(path, scenario, staging)
-        for name in sorted(os.listdir(staging), key=lambda n: n == _ENTRIES[0]):
+        for name in sorted(os.listdir(staging), key=lambda n: n == "checksums.json"):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
