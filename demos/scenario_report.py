@@ -27,7 +27,9 @@ print(f"attack scenario: {scenario.federation.n_clients} clients, client 0 "
       f"flips every label, {scenario.repeats} repeats")
 
 # %%
-workdir = Path(tempfile.mkdtemp(prefix="fedscore-demo-"))
+# The work directory and both bundles in it are removed at the end.
+tmp = tempfile.TemporaryDirectory(prefix="fedscore-demo-")
+workdir = Path(tmp.name)
 t0 = time.perf_counter()
 bundle = Path(run_scenario(bundled_path("attack"), out_dir=str(workdir / "first")))
 print(f"ran in {time.perf_counter() - t0:.1f}s -> {bundle}")
@@ -69,3 +71,5 @@ print("rerun tables byte-identical:", same)
 victim = rerun / "tables" / "misbehavior.csv"
 victim.write_text(victim.read_text().replace("1.0", "0.9", 1))
 print("after tampering:", verify_bundle(str(rerun)))
+
+tmp.cleanup()

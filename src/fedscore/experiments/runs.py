@@ -133,40 +133,51 @@ def round_utilities(ctx, rnd):
     return ctx.cache[key]
 
 
-def _reference_games(ctx, key):
-    """The exact-Shapley games behind a cached reference: MR-SV's round
-    games of rounds 1..horizon, or SV's horizon-round retraining game."""
-    method, horizon = key
+def _missing_games(ctx, method, horizon):
+    """(cache key, game) for each exact-Shapley game a reference still
+    needs: MR-SV's round games of rounds 1..horizon, cached per round so
+    horizons share them, or SV's horizon-round retraining game."""
     if method == "MR-SV":
-        return mr_shapley_games(ctx.transcripts[:horizon], ctx.evaluator)
-    return [RetrainingGame(dataclasses.replace(ctx.config, rounds=horizon)).oracle()]
+        rounds = [r for r in range(1, horizon + 1) if ("MR-SV", r) not in ctx.cache]
+        if not rounds:
+            return []
+        games = mr_shapley_games(
+            [ctx.transcripts[r - 1] for r in rounds], ctx.evaluator
+        )
+        return [(("MR-SV", r), game) for r, game in zip(rounds, games)]
+    if method == "SV" and ("SV", horizon) not in ctx.cache:
+        config = dataclasses.replace(ctx.config, rounds=horizon)
+        return [(("SV", horizon), RetrainingGame(config).oracle())]
+    return []
 
 
 def _tabulate_references(contexts, methods, horizon):
-    """Cache every context's MR-SV rows and SV at this horizon, for the
-    methods among ``methods``, unless cached already.
+    """Cache every context's MR-SV rows of rounds 1..horizon and SV at
+    this horizon, for the methods among ``methods``, unless cached
+    already.
 
     The games are built context by context in method order, and all are
     solved in one :func:`shapley_exact_all` call, so they run on worker
     processes together and a failure is the first in that order.
     """
-    todo = []
-    for ctx in contexts:
-        for method in dict.fromkeys(methods):
-            key = (method, horizon)
-            if method in ("MR-SV", "SV") and key not in ctx.cache:
-                todo.append((ctx, key, _reference_games(ctx, key)))
-    vectors = iter(shapley_exact_all([g for *_, games in todo for g in games]))
-    for ctx, key, games in todo:
-        rows = np.array([next(vectors).scores for _ in games])
-        ctx.cache[key] = rows if key[0] == "MR-SV" else rows[0]
+    todo = [
+        (ctx, key, game)
+        for ctx in contexts
+        for method in dict.fromkeys(methods)
+        for key, game in _missing_games(ctx, method, horizon)
+    ]
+    vectors = shapley_exact_all([game for *_, game in todo])
+    for (ctx, key, _), vector in zip(todo, vectors):
+        ctx.cache[key] = vector.scores
 
 
 def _reference(ctx, method, horizon):
-    """MR-SV's per-round rows or SV's scores at this horizon, computed
-    once per context."""
+    """MR-SV's rows of rounds 1..horizon or SV's scores at this horizon,
+    each game solved once per context."""
     _tabulate_references([ctx], [method], horizon)
-    return ctx.cache[(method, horizon)]
+    if method == "MR-SV":
+        return np.array([ctx.cache[("MR-SV", r)] for r in range(1, horizon + 1)])
+    return ctx.cache[("SV", horizon)]
 
 
 def _utility_rule(method):
@@ -313,14 +324,14 @@ def _weighted_model(transcript, weights):
 
 def _round_scores(method, ctx, t):
     """Round t's own scores for the weighting pipeline: a single-round
-    rule on round t's utilities, COS of round t, or MR-SV row t of the
-    full-length rows."""
+    rule on round t's utilities, COS of round t, or round t's MR-SV
+    row."""
     rule = _utility_rule(method)
     if rule is not None:
         return rule(round_utilities(ctx, t.round)).scores
     per_round = {
         "COS": lambda: cos_score(t).scores,
-        "MR-SV": lambda: _reference(ctx, method, len(ctx.transcripts))[t.round - 1],
+        "MR-SV": lambda: _reference(ctx, method, t.round)[-1],
     }
     return per_round[method]()
 

@@ -21,7 +21,6 @@ are reported as the sequential order would meet them first.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -187,9 +186,9 @@ class ModelEvaluator:
     """Fixed-test-set utility v(model); counts every evaluation.
 
     utility_kind "accuracy" is the mean test accuracy, "neg_loss" the
-    negative mean test cross-entropy.  Thread safe, so threads may share
-    one evaluator; a forked copy that evaluates on a worker process
-    counts there, and ``add_calls`` adds that count back.
+    negative mean test cross-entropy.  Not to be shared between threads;
+    a forked copy that evaluates on a worker process counts there, and
+    ``add_calls`` adds that count back.
     """
 
     def __init__(self, arch: MlpArch, test: LabeledDataset, utility_kind: str = "neg_loss"):
@@ -202,7 +201,6 @@ class ModelEvaluator:
         self.arch = arch
         self.test = test
         self.utility_kind = utility_kind
-        self._lock = threading.Lock()
         self._count = 0
 
     def __call__(self, model: ModelParams) -> float:
@@ -217,21 +215,18 @@ class ModelEvaluator:
                 f"model stack of shape {stack.shape} is not "
                 f"(models, {self.arch.n_params})"
             )
-        with self._lock:
-            self._count += len(stack)
+        self._count += len(stack)
         if self.utility_kind == "accuracy":
             return stack_accuracy(self.arch, stack, self.test)
         return -stack_mean_loss(self.arch, stack, self.test)
 
     @property
     def call_count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     def add_calls(self, count: int) -> None:
         """Count evaluations that a forked copy of this evaluator made."""
-        with self._lock:
-            self._count += count
+        self._count += count
 
 
 def model_eval_oracle(test: LabeledDataset, utility_kind: str = "neg_loss") -> ModelEvaluator:

@@ -210,11 +210,6 @@ def mean_loss(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float
     return float(stack_mean_loss(arch, params.values[None], data)[0])
 
 
-def accuracy(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float:
-    """Fraction of correct argmax predictions (ties toward the lower class)."""
-    return float(stack_accuracy(arch, params.values[None], data)[0])
-
-
 def loss_and_grad(
     arch: MlpArch, params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:

@@ -99,9 +99,9 @@ class CoalitionOracle:
     ``call_count`` goes up by exactly one per evaluated coalition and the
     mask of every evaluated coalition lands in the audit log, so a test can
     assert both how many utility evaluations a method consumed and which
-    coalitions it was allowed to see.  Thread safe, so threads may share
-    one oracle; :func:`shapley_exact_all` tabulates forked copies on
-    worker processes and adds their audits back to the originals.
+    coalitions it was allowed to see.  Not to be shared between threads;
+    :func:`shapley_exact_all` tabulates forked copies on worker processes
+    and adds their audits back to the originals.
 
     Args:
         n_clients: size of the player set; coalitions must stay within it.
@@ -131,14 +131,12 @@ class CoalitionOracle:
         self._fn = fn
         self._chunks = chunks
         self.evaluator = evaluator
-        self._lock = threading.Lock()
         self._count = 0
         self._audit: list[int] = []
 
     def _record(self, masks: Sequence[int]) -> None:
-        with self._lock:
-            self._count += len(masks)
-            self._audit.extend(masks)
+        self._count += len(masks)
+        self._audit.extend(masks)
 
     def evaluate(self, coalition: Coalition) -> float:
         if coalition.mask >> self.n_clients:
@@ -180,14 +178,12 @@ class CoalitionOracle:
 
     @property
     def call_count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
     @property
     def audit_log(self) -> tuple[int, ...]:
         """Masks of all evaluated coalitions, in call order."""
-        with self._lock:
-            return tuple(self._audit)
+        return tuple(self._audit)
 
 
 def _finite_utility(mask: int, value) -> float:

@@ -465,6 +465,32 @@ class TestScoringCache:
             if row[2] == "SV":
                 assert row[3] == 0.0  # the method is its own reference
 
+    def test_one_mr_sv_game_per_round(self, monkeypatch):
+        # With eval-round references, each ablation value reads MR-SV
+        # rows 1..value; rounds 1-2 are shared and solved once.
+        text = (TINY_SCENARIO.replace("\nrounds = 2\n", "\nrounds = 4\n")
+                .replace("methods = LOO, FP, EE, COS", "methods = LOO, EE, MR-SV"))
+        sc = parse_scenario(
+            io.StringIO(text + "\n[ablation]\naxis = round\nvalues = 2, 4\n"),
+            name="scenario")
+        solved = []
+        real = runs.shapley_exact_all
+
+        def counting(oracles):
+            solved.append(len(oracles))
+            return real(oracles)
+
+        monkeypatch.setattr(runs, "shapley_exact_all", counting)
+        rows = table_rows(ablation(sc))["ablation"]
+        # 2 repeats x (rounds 1-2, then rounds 3-4); 12 games if each
+        # horizon solved its own rounds
+        assert [k for k in solved if k] == [4, 4]
+        # each value's rows equal a fidelity pass on fresh federations
+        for value in (2, 4):
+            fresh = dataclasses.replace(sc, eval_round=value, ablation=None)
+            plain = table_rows(rank_fidelity(fresh))["rank_fidelity"]
+            assert [r[2:] for r in rows if r[1] == value] == plain
+
 
 class TestAblation:
     def test_round_axis_shares_contexts(self):

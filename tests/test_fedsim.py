@@ -28,7 +28,6 @@ from fedscore.fedsim import (
     RoundTranscript,
     SyntheticSpec,
     TrainingDiverged,
-    accuracy,
     dirichlet_partition,
     flip_labels,
     generate_synthetic,
@@ -229,7 +228,7 @@ class TestMlp:
         params = init_params(arch, seed=1)
         logits = mlp._forward_stack(arch, params.values[None], feats)[0]
         expect = float(np.mean(np.argmax(logits, axis=1) == labels))
-        assert accuracy(arch, params, data) == expect
+        assert mlp.stack_accuracy(arch, params.values[None], data)[0] == expect
 
     def test_sgd_zero_epochs_is_identity(self):
         data = LabeledDataset(np.zeros((4, 4)), np.zeros(4, dtype=np.int64), 3)
@@ -356,7 +355,7 @@ class TestEvaluatorAndOracles:
         neg = model_eval_oracle(test, "neg_loss")(m)
         acc = model_eval_oracle(test, "accuracy")(m)
         assert abs(neg - (-mean_loss(arch, m, test))) < 1e-12
-        assert abs(acc - accuracy(arch, m, test)) < 1e-12
+        assert abs(acc - mlp.stack_accuracy(arch, m.values[None], test)[0]) < 1e-12
         with pytest.raises(FederationError):
             ModelEvaluator(arch, test, "auc")
 

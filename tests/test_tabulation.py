@@ -9,10 +9,6 @@ bit for bit, so every comparison is on the uint64 view of the float64
 results, with no tolerance.
 """
 
-import os
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,13 +24,13 @@ from fedscore.fedsim import (
     ModelParams,
     RoundTranscript,
     SyntheticSpec,
-    accuracy,
     generate_synthetic,
     init_params,
     mean_loss,
     round_oracle,
 )
 from fedscore.fedsim.federation import _coalition_models
+from fedscore.fedsim.mlp import stack_accuracy
 from fedscore.scoring import (
     game_round_utilities,
     mr_shapley_rows,
@@ -121,8 +117,8 @@ def test_single_model_forward_matches_reference(kind):
     for scale in (0.05, 0.5, 3.0):
         params = ModelParams(scale * rng.standard_normal(ARCH.n_params))
         expect = reference_utility(kind, params.values)
-        direct = (accuracy(ARCH, params, TEST) if kind == "accuracy"
-                  else -mean_loss(ARCH, params, TEST))
+        direct = (stack_accuracy(ARCH, params.values[None], TEST)[0]
+                  if kind == "accuracy" else -mean_loss(ARCH, params, TEST))
         assert bits(direct) == bits(expect)
         assert bits(evaluator(params)) == bits(expect)
 
@@ -202,38 +198,6 @@ def test_generated_transcripts_tabulate_bit_identically(kind, data):
     assert np.array_equal(bits(oracle.tabulate()), bits(expect))
     assert oracle.call_count == evaluator.call_count == 2**n
     assert sorted(oracle.audit_log) == list(range(2**n))
-
-
-def test_shared_evaluator_under_thread_contention():
-    n, rounds = 4, 3
-    transcripts = make_transcripts(n, rounds)
-    serial = mr_shapley_rows(transcripts, ModelEvaluator(ARCH, TEST, "neg_loss"))
-    evaluator = ModelEvaluator(ARCH, TEST, "neg_loss")
-    n_threads = (os.cpu_count() or 1) + 2
-    results = [None] * n_threads
-    errors = []
-
-    def work(k):
-        try:
-            results[k] = mr_shapley_rows(transcripts, evaluator)
-        except BaseException as exc:  # reported by the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not errors, errors
-    assert evaluator.call_count == n_threads * rounds * 2**n
-    for rows in results:
-        assert np.array_equal(bits(rows), bits(serial))
 
 
 def _caught(fn):
