@@ -15,10 +15,9 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 import time
 
+from ..fedsim.archive import write_staged
 from .runs import (
     ablation,
     derive_seeds,
@@ -133,23 +132,7 @@ def run_scenario(path, out_dir=None, master_seed=None):
     if out_dir is None:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         out_dir = os.path.join("results", f"{scenario.name}-{stamp}")
-    os.makedirs(out_dir, exist_ok=True)
-    for name in _ENTRIES:
-        target = os.path.join(out_dir, name)
-        if os.path.isdir(target):
-            shutil.rmtree(target)
-        elif os.path.lexists(target):
-            os.remove(target)
-    full = os.path.abspath(out_dir)
-    staging = tempfile.mkdtemp(
-        prefix=f".{os.path.basename(full)}-", dir=os.path.dirname(full)
-    )
-    try:
-        _write_bundle(path, scenario, staging)
-        for name in sorted(os.listdir(staging), key=lambda n: n == "checksums.json"):
-            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    write_staged(out_dir, _ENTRIES, lambda staging: _write_bundle(path, scenario, staging))
     return out_dir
 
 

@@ -21,6 +21,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .mlp import ModelParams
 
 _FORMAT_VERSION = 1
 _MANIFEST_KEYS = ("n_clients", "dim", "rounds", "config_sha256", "files")
+# An archive's entries, its manifest first (see write_staged).
+_ENTRIES = ("manifest.json", "config.json", "rounds")
 
 
 class ArchiveError(ValueError):
@@ -121,8 +125,42 @@ def _read_member(dirpath, *parts: str) -> bytes:
         raise ArchiveError(f"{name}: cannot read ({exc.strerror})") from None
 
 
+def write_staged(dirpath, entries, write) -> None:
+    """Replace ``entries`` of directory ``dirpath`` with what ``write`` makes.
+
+    ``entries`` lists the names a writer owns, the manifest a reader checks
+    first: the old ones are removed in that order, so what is left of them
+    never verifies.  ``write(staging)`` fills a new sibling directory, whose
+    entries are then moved in, the manifest last, and the staging directory
+    is removed even when ``write`` raises.  Other files in ``dirpath`` are
+    left alone; ``dirpath`` is created if needed.
+    """
+    os.makedirs(dirpath, exist_ok=True)
+    for name in entries:
+        target = os.path.join(dirpath, name)
+        if os.path.isdir(target):
+            shutil.rmtree(target)
+        elif os.path.lexists(target):
+            os.remove(target)
+    full = os.path.abspath(dirpath)
+    staging = tempfile.mkdtemp(
+        prefix=f".{os.path.basename(full)}-", dir=os.path.dirname(full)
+    )
+    try:
+        write(staging)
+        for name in sorted(os.listdir(staging), key=lambda n: n == entries[0]):
+            os.replace(os.path.join(staging, name), os.path.join(dirpath, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
-    """Write an archive; the directory is created if needed."""
+    """Write an archive; the directory is created if needed.
+
+    An older archive in ``dirpath`` is removed first, its manifest before
+    anything else, and the new one is written next to ``dirpath`` and
+    moved in, ``manifest.json`` last (:func:`write_staged`).
+    """
     transcripts = list(transcripts)
     if not transcripts:
         raise ArchiveError("nothing to save: no transcripts")
@@ -135,7 +173,13 @@ def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
                 "archives hold full-federation transcripts with clients 0..N-1"
             )
 
-    os.makedirs(os.path.join(dirpath, "rounds"), exist_ok=True)
+    write_staged(dirpath, _ENTRIES, lambda staging: _write_archive(
+        staging, config, transcripts
+    ))
+
+
+def _write_archive(dirpath, config: FederationConfig, transcripts) -> None:
+    os.makedirs(os.path.join(dirpath, "rounds"))
     config_bytes = json.dumps(config_to_dict(config), indent=2, sort_keys=True).encode()
     with open(os.path.join(dirpath, "config.json"), "wb") as fh:
         fh.write(config_bytes)

@@ -458,8 +458,10 @@ class RetrainingGame:
     that contains it; only the start model differs.  So coalitions train
     in lockstep, round by round: a round's (client, coalition) rows go
     through :func:`sgd_train_rows`, client-major, and each coalition ends
-    bit-identical to its own federation run.  Tabulating the oracle trains
-    all 2^N coalitions this way; ``value`` trains just one.
+    bit-identical to its own federation run.  In round 1 every coalition
+    starts from the initial model, so each client trains once and its
+    update serves every coalition that holds it.  Tabulating the oracle
+    trains all 2^N coalitions this way; ``value`` trains just one.
     """
 
     def __init__(self, config: FederationConfig):
@@ -496,12 +498,18 @@ class RetrainingGame:
         """Train the coalitions in ``masks`` in lockstep, then yield their
         (masks, utilities) in evaluated chunks.
 
-        A round's rows are the (client, coalition) pairs, client-major,
-        trained :data:`_ROW_CAP` at a time by :func:`sgd_train_rows`.
-        Every coalition's round total starts at 0.0 and adds its members'
-        scaled updates in ascending client order: the sequential fold
-        ``np.sum(deltas, axis=0)`` performs in ``_federate``.  A divergence
-        names the lowest diverging pair in that order.
+        From round 2 on, a round's rows are the (client, coalition) pairs,
+        client-major, trained :data:`_ROW_CAP` at a time by
+        :func:`sgd_train_rows`.  Round 1 trains one row per client that
+        some coalition holds, from the initial model, and subtracts the
+        initial model once; each pair then scales that update by its own
+        1/|S|, the same two float operations on the same values as a row
+        per pair.  Every coalition's round total starts at 0.0 and adds its
+        members' scaled updates in ascending client order: the sequential
+        fold ``np.sum(deltas, axis=0)`` performs in ``_federate``.  A
+        divergence names the lowest diverging pair in that order; in round
+        1 a client diverges alike in all its pairs, so that is its first
+        coalition.
         """
         cfg = self.config
         trained = [mask for mask in masks if mask]
@@ -517,9 +525,10 @@ class RetrainingGame:
             total.fill(0.0)
             streams = [(shard, [cfg.seed, _SEED_TRAIN, t, i])
                        for i, shard in enumerate(self._shards)]
-            for lo in range(0, len(pairs), _ROW_CAP):
-                clients, rows = pairs[lo : lo + _ROW_CAP].T
-                start = models[rows]
+
+            def train(clients, rows, start):
+                """Each client's update from its start row; a divergence
+                names the coalition ``trained[rows[...]]``."""
                 local, diverged = sgd_train_rows(
                     self._arch, start, [streams[i] for i in clients],
                     epochs=cfg.local_epochs,
@@ -535,12 +544,29 @@ class RetrainingGame:
                         round=t,
                     ) from diverged
                 local -= start
-                local *= scales[rows, None]
-                # One client's rows name distinct coalitions; clients go in
-                # ascending order, so each total folds its members in order.
-                for i in np.unique(clients):
-                    mine = clients == i
-                    total[rows[mine]] += local[mine]
+                return local
+
+            if t == 1:
+                # Every coalition starts from m_init, so a client's update
+                # is the same in all of them: train it once, named after
+                # its first coalition, and scale it per coalition; clients
+                # go in ascending order, as below.
+                clients, first = np.unique(pairs[:, 0], return_index=True)
+                start = np.tile(self._m_init.values, (len(clients), 1))
+                for i, update in zip(clients, train(clients, pairs[first, 1], start)):
+                    rows = pairs[pairs[:, 0] == i, 1]
+                    total[rows] += update * scales[rows, None]
+            else:
+                for lo in range(0, len(pairs), _ROW_CAP):
+                    clients, rows = pairs[lo : lo + _ROW_CAP].T
+                    local = train(clients, rows, models[rows])
+                    local *= scales[rows, None]
+                    # One client's rows name distinct coalitions; clients go
+                    # in ascending order, so each total folds its members
+                    # in order.
+                    for i in np.unique(clients):
+                        mine = clients == i
+                        total[rows[mine]] += local[mine]
             models += total
             _check_models(trained, models)
         del total  # not needed while the chunks below are evaluated

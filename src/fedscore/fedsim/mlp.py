@@ -180,22 +180,31 @@ def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> n
     * the row max goes column by column (:func:`_row_max`): a max does
       no rounding, and numpy's row-wise reduction of the short class
       axis costs more than the first-layer GEMM;
-    * the exp-sum stays a reduction over the class axis, because from 8
-      classes on numpy sums it pairwise, which a fold over the columns
-      would not reproduce;
-    * only the label column of the shifted logits is gathered, and the
-      log-sum-exp is subtracted from it, so the (c, n, K) log-softmax is
-      never built.
+    * only the label column of the logits is gathered, and the row max
+      and then the log-sum-exp are subtracted from it, so neither the
+      (c, n, K) shifted logits nor the log-softmax is built;
+    * below 8 classes the exp-sum folds ``exp(logits[..., j] - max)``
+      over the class columns, left to right: numpy reduces a contiguous
+      axis that short as a left fold, so the sum has the same bits.
+      From 8 classes on numpy sums pairwise, which a fold would not
+      reproduce, so the sum stays its reduction over the class axis.
 
     Local SGD keeps :func:`_log_softmax`: its gradient needs every class,
     and on a 16-row batch the column max is slower than the reduction.
     """
     logits = _forward_stack(arch, stack, data.features)
-    shifted = logits - _row_max(logits)[..., None]
+    top = _row_max(logits)
     # The gather comes back in column order, and a row mean over it sums
     # in a different order than the mean over one model's 1-D gather.
-    picked = np.ascontiguousarray(shifted[:, np.arange(data.n_samples), data.labels])
-    picked -= np.log(np.exp(shifted).sum(axis=-1))
+    picked = np.ascontiguousarray(logits[:, np.arange(data.n_samples), data.labels])
+    picked -= top
+    if arch.n_classes < 8:
+        total = np.exp(logits[..., 0] - top)
+        for j in range(1, arch.n_classes):
+            total += np.exp(logits[..., j] - top)
+    else:
+        total = np.exp(logits - top[..., None]).sum(axis=-1)
+    picked -= np.log(total)
     return -picked.mean(axis=1)
 
 
@@ -308,7 +317,9 @@ def sgd_train_rows(
         raise ModelError(f"epochs must be nonnegative, got {epochs}")
     if lr <= 0 or batch_size < 1:
         raise ModelError(f"bad SGD settings: lr={lr} batch_size={batch_size}")
-    stack = np.array(stack, dtype=np.float64)
+    # Row-major, so every row's parameters are one contiguous block: the
+    # GEMMs of a column-major copy's strided rows round differently.
+    stack = np.array(stack, dtype=np.float64, order="C")
     if stack.ndim != 2 or len(streams) != len(stack):
         raise ModelError(
             f"a stack of shape {stack.shape} needs one stream per row, "

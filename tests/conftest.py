@@ -1,12 +1,13 @@
 """Shared fixtures.
 
 The expensive pieces (a small federation run, the three bundled scenario
-executions) are session scoped so the whole suite pays for each exactly
-once.  Bundle fixtures return (bundle_dir, wall_seconds) because the
+executions and the coverage scenario) are session scoped so the whole
+suite pays for each exactly once.  Bundle fixtures return (bundle_dir, wall_seconds) because the
 release gate asserts runtime bounds as well as numbers.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -53,10 +54,10 @@ def tiny_run():
     return config, transcripts, test
 
 
-def _timed_bundle(name, tmp_path_factory):
+def _timed_bundle(name, tmp_path_factory, path=None):
     out = str(tmp_path_factory.mktemp(f"{name}-bundle"))
     t0 = time.perf_counter()
-    bundle = run_scenario(bundled_path(name), out_dir=out)
+    bundle = run_scenario(path or bundled_path(name), out_dir=out)
     return bundle, time.perf_counter() - t0
 
 
@@ -73,3 +74,11 @@ def attack_bundle(tmp_path_factory):
 @pytest.fixture(scope="session")
 def noisy_bundle(tmp_path_factory):
     return _timed_bundle("noisy", tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def coverage_bundle(tmp_path_factory):
+    """Three clients, every method and every block: the paths the bundled
+    scenarios leave out (``scenarios/coverage.scenario``)."""
+    path = Path(__file__).parent / "scenarios" / "coverage.scenario"
+    return _timed_bundle("coverage", tmp_path_factory, str(path))

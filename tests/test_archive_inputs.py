@@ -4,7 +4,7 @@ Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
 config.  A file the manifest relies on but the directory lacks names
-that file.
+that file.  A save that fails part-way leaves no archive that loads.
 """
 
 import json
@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from fedscore.fedsim import ArchiveError, load_transcripts, save_transcripts
+from fedscore.fedsim import archive as archive_module
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -84,3 +85,29 @@ def test_cli_names_the_key(archive):
     )
     assert proc.returncode == 1
     assert "manifest.json: 'rounds' must be a positive integer, got 0" in proc.stderr
+
+
+def test_failed_save_leaves_no_archive_and_no_staging(archive, tiny_run, monkeypatch):
+    config, transcripts, _ = tiny_run
+    (archive / "notes.txt").write_text("kept")
+    real = archive_module._round_blob
+
+    def failing(transcript):
+        if transcript.round == 2:
+            raise OSError("disk full")
+        return real(transcript)
+
+    monkeypatch.setattr(archive_module, "_round_blob", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_transcripts(archive, config, transcripts)
+    with pytest.raises(ArchiveError, match="no manifest.json"):
+        load_transcripts(archive)
+    assert sorted(os.listdir(archive.parent)) == ["arc"]
+    assert (archive / "notes.txt").read_text() == "kept"
+
+
+def test_shorter_save_leaves_no_stale_round(archive, tiny_run):
+    config, transcripts, _ = tiny_run
+    save_transcripts(archive, config, transcripts[:1])
+    assert os.listdir(archive / "rounds") == ["round_0001.bin"]
+    assert len(load_transcripts(archive)[1]) == 1

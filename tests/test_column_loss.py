@@ -1,10 +1,12 @@
 """The test-set loss kernel against the log-softmax it replaces.
 
 ``stack_mean_loss`` takes the row max one class column at a time
-(``mlp._row_max``) and gathers the label column before subtracting the
-log-sum-exp.  The reference is the computation from before: the full
-``_log_softmax`` gathered at the labels.  Every comparison is on the
-uint64 view of the float64 results, with no tolerance.
+(``mlp._row_max``), gathers the label column of the logits before
+subtracting the row max and the log-sum-exp, and below 8 classes folds
+the exp-sum over the class columns.  The reference is the computation
+from before: the full ``_log_softmax`` gathered at the labels.  Every
+comparison is on the uint64 view of the float64 results, with no
+tolerance.
 """
 
 import itertools

@@ -1,7 +1,8 @@
 """Lockstep retraining against the per-coalition federation it replaces.
 
-``RetrainingGame`` trains every coalition round by round, one stacked SGD
-call per chunk of a round's (client, coalition) rows, client-major.  The
+``RetrainingGame`` trains every coalition round by round: round 1 in one
+stacked SGD call with a row per client, later rounds in one call per chunk
+of a round's (client, coalition) rows, client-major.  The
 reference is the computation from before: one sequential federation per
 coalition (``reference_training.federate``), its final model evaluated on
 its own.  Every comparison is on the uint64 view of the float64 results,
@@ -193,6 +194,43 @@ def test_diverging_row_names_client_round_and_coalition(monkeypatch):
     assert f"coalition {expect}" in message
 
 
+def test_round_one_divergence_names_the_first_coalition(monkeypatch):
+    # Client 1 trains once in round 1; every coalition holding it would
+    # diverge alike, so the sequential order meets its first coalition.
+    config = tiny_config(n_clients=4, rounds=2)
+    d, h, k = config.dataset.dim, HIDDEN_UNITS, config.dataset.n_classes
+
+    def overflow(real, arch, stack, streams, row, **kw):
+        stack[row] = 0.0
+        stack[row, d * h : d * h + h] = 1.0
+        stack[row, (d + 1) * h : (d + 1) * h + h * k] = 1e307
+        return real(arch, stack, streams, **kw)
+
+    _poison(monkeypatch, round_=1, client=1, row=0, corrupt=overflow)
+    expect = Coalition(_masks_with(1, 4)[0]).members
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as info:
+            RetrainingGame(config).oracle().tabulate()
+    assert info.value.round == 1
+    message = str(info.value)
+    assert "client 1" in message and "round 1" in message
+    assert f"coalition {expect}" in message
+
+
+def test_round_one_trains_each_client_once(monkeypatch):
+    config = tiny_config(n_clients=4, rounds=2)
+    real, rows = federation.sgd_train_rows, []
+
+    def counting(arch, stack, streams, **kw):
+        rows.extend(seed[2] for _, seed in streams)
+        return real(arch, stack, streams, **kw)
+
+    monkeypatch.setattr(federation, "sgd_train_rows", counting)
+    RetrainingGame(config).oracle().tabulate()
+    assert rows.count(1) == config.n_clients
+    assert rows.count(2) == config.n_clients << (config.n_clients - 1)
+
+
 def test_non_finite_coalition_model_names_the_coalition(monkeypatch):
     config = tiny_config(n_clients=4, rounds=2)
 
@@ -201,11 +239,26 @@ def test_non_finite_coalition_model_names_the_coalition(monkeypatch):
         out[row] = np.inf
         return out, diverged
 
-    _poison(monkeypatch, round_=1, client=2, row=1, corrupt=infinite)
+    _poison(monkeypatch, round_=2, client=2, row=1, corrupt=infinite)
     expect = Coalition(_masks_with(2, 4)[1]).members
     with np.errstate(invalid="ignore"):
         with pytest.raises(ModelError, match=re.escape(f"coalition {expect}")):
             RetrainingGame(config).oracle().tabulate()
+
+
+def test_column_major_stack_trains_like_lone_rows():
+    # uneven shards of 5, 19 and 12 samples: the strided rows of a
+    # column-major stack would round the middle row differently
+    config = tiny_config(n_clients=3, rounds=1, iid=False, batch_size=3, seed=0)
+    shards, _, arch, m_init = federation._prepare(config)
+    kw = dict(epochs=1, lr=config.lr, batch_size=3)
+    streams = [(shard, [0, federation._SEED_TRAIN, 1, i])
+               for i, shard in enumerate(shards)]
+    stack = np.asfortranarray(np.tile(m_init.values, (3, 1)))
+    out, _ = sgd_train_rows(arch, stack, streams, **kw)
+    for row, (shard, seed) in enumerate(streams):
+        alone = sgd_train(arch, m_init, shard, seed=seed, **kw)
+        assert np.array_equal(bits(out[row]), bits(alone.values))
 
 
 def test_kernel_refuses_a_non_finite_stack():
