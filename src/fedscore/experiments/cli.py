@@ -18,14 +18,15 @@ import os
 import sys
 
 from ..fedsim import load_transcripts, model_eval_oracle, test_set_for
-from ..games import load_table_game, shapley_exact
+from ..games import METHOD_LABELS, load_table_game, shapley_exact
 from ..protocol import influence_matrix
 from ..scoring import scores_to_csv
 from .bundle import run_scenario, verify_bundle
 from .runs import RepeatContext, method_scores, round_utilities
 
-# `fedscore score --method` flag -> method label
-_METHODS = {"loo": "LOO", "fp": "FP", "ee": "EE", "cos": "COS", "mrsv": "MR-SV"}
+# `fedscore score --method` flag -> method label: every label but the
+# retrained SV, lowercase without the hyphen
+_METHODS = {m.lower().replace("-", ""): m for m in METHOD_LABELS if m != "SV"}
 
 
 def _cmd_run(args):

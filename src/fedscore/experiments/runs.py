@@ -90,21 +90,19 @@ class RepeatContext:
 
 
 def run_repeats(scenario):
-    """All repeats' federations, trained in lockstep (``run_federations``)."""
+    """All repeats' federations: the scenario's federation config under
+    each derived seed, trained in lockstep (``run_federations``)."""
     seeds = derive_seeds(scenario.master_seed, scenario.repeats)
-    configs = [
-        dataclasses.replace(scenario.federation, seed=int(seed)) for seed in seeds
-    ]
     return [
         RepeatContext(
             repeat=repeat,
-            seed=cfg.seed,
-            config=cfg,
+            seed=seed,
+            config=dataclasses.replace(scenario.federation, seed=seed),
             transcripts=tuple(transcripts),
-            evaluator=model_eval_oracle(test, cfg.utility_kind),
+            evaluator=model_eval_oracle(test, scenario.federation.utility_kind),
         )
-        for repeat, (cfg, (transcripts, test)) in enumerate(
-            zip(configs, run_federations(configs))
+        for repeat, (seed, (transcripts, test)) in enumerate(
+            zip(seeds, run_federations(scenario.federation, seeds))
         )
     ]
 

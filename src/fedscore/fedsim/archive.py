@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .data import SyntheticSpec
+from .data import DataError, SyntheticSpec
 from .federation import (
     ClientUpdate,
     FederationConfig,
@@ -52,15 +52,64 @@ def config_to_dict(config: FederationConfig) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# The JSON type of a config field, by the field's annotation.
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int | None": ("null or an integer", lambda v: v is None or _is_int(v)),
+    "tuple[float, ...] | None": (
+        "null or a list of numbers",
+        lambda v: v is None or isinstance(v, list) and all(map(_is_number, v)),
+    ),
+}
+
+
+def _typed_fields(cls, raw, prefix: str = "") -> dict:
+    """The keyword arguments of dataclass ``cls`` from JSON object ``raw``;
+    every field must be present with its JSON type, and no other key."""
+    if not isinstance(raw, dict):
+        raise ArchiveError(
+            f"config.json: {prefix[:-1] or 'the config'} must be an object, got {raw!r}"
+        )
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(raw.keys() - fields.keys())
+    if unknown:
+        raise ArchiveError(f"config.json: unknown field {prefix}{unknown[0]}")
+    out = {}
+    for name, annotation in fields.items():
+        if name not in raw:
+            raise ArchiveError(f"config.json: missing field {prefix}{name}")
+        value = raw[name]
+        if annotation == "SyntheticSpec":
+            value = SyntheticSpec(**_typed_fields(SyntheticSpec, value, f"{name}."))
+        else:
+            what, valid = _JSON_TYPES[annotation]
+            if not valid(value):
+                raise ArchiveError(
+                    f"config.json: {prefix}{name} must be {what}, got {value!r}"
+                )
+        out[name] = value
+    return out
+
+
 def config_from_dict(raw: dict) -> FederationConfig:
+    """The config that :func:`config_to_dict` wrote; a field that is
+    missing, unknown, of the wrong JSON type or out of range raises
+    ArchiveError naming it."""
     try:
-        data = dict(raw)
-        dataset = SyntheticSpec(**data.pop("dataset"))
-        if data.get("noise_rates") is not None:
-            data["noise_rates"] = tuple(float(r) for r in data["noise_rates"])
-        return FederationConfig(dataset=dataset, **data)
-    except (KeyError, TypeError) as exc:
-        raise ArchiveError(f"bad federation config: {exc}") from exc
+        return FederationConfig(**_typed_fields(FederationConfig, raw))
+    except (FederationError, DataError) as exc:
+        raise ArchiveError(f"config.json: {exc}") from exc
 
 
 def _round_blob(transcript: RoundTranscript) -> bytes:
@@ -228,7 +277,11 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
     config_bytes = _read_member(dirpath, "config.json")
     if hashlib.sha256(config_bytes).hexdigest() != manifest["config_sha256"]:
         raise ArchiveError("config.json does not match its manifest checksum")
-    config = config_from_dict(json.loads(config_bytes))
+    try:
+        raw = json.loads(config_bytes)
+    except ValueError as exc:
+        raise ArchiveError(f"config.json: not valid JSON ({exc})") from None
+    config = config_from_dict(raw)
     if config.n_clients != manifest["n_clients"]:
         raise ArchiveError("manifest client count disagrees with the config")
 

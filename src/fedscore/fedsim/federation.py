@@ -11,8 +11,8 @@ Every random draw comes from a stream derived from (seed, fixed tag,
 round, client), so reruns are bit-identical and a retrained sub-federation
 reuses exactly the per-client streams of the full run.
 
-Local training runs in lockstep: all clients of a round, of every
-federation in a list and of every coalition a retraining game trains, go
+Local training runs in lockstep: all clients of a round, of every seed
+one config runs under and of every coalition a retraining game trains, go
 through one stacked SGD trainer (``mlp.sgd_train_rows``), each row on its
 own stream, and each ends bit-identical to training it alone.  Failures
 are reported as the sequential order would meet them first.
@@ -21,7 +21,7 @@ are reported as the sequential order would meet them first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -335,58 +335,59 @@ def _prepare(config: FederationConfig):
     return shards, test, arch, m_init
 
 
-def _federate(
-    configs: Sequence[FederationConfig], prepared: Sequence[tuple]
-) -> tuple[list[list[RoundTranscript]], dict[int, Exception]]:
-    """Run the round loops of several federations in lockstep.
+def test_set_for(config: FederationConfig) -> LabeledDataset:
+    """The deterministic test split a config implies (no training)."""
+    return _prepare(config)[1]
 
-    ``prepared`` holds each config's :func:`_prepare` output, and every
-    config shares the architecture, epochs, lr and batch size.  In each
-    round, every client of every federation still running trains from its
-    federation's start model in one :func:`sgd_train_rows` call, each on
-    its own stream, so every federation is bit-identical to running it
-    alone.  Updates are scaled by 1/n_clients.
 
-    Returns the transcripts and the failures by federation index.  The
-    lowest-indexed failure is the one running the federations one after
-    another would raise: its first failing round, its lowest failing
-    client.  Federations from a failing one on stop training, so a higher
-    one may be missing from the failures; those below it run to the end.
+def run_federations(
+    config: FederationConfig, seeds: Sequence[int]
+) -> list[tuple[list[RoundTranscript], LabeledDataset]]:
+    """Run ``config`` once per seed; return each run's transcripts and test set.
+
+    The runs train in lockstep: in each round, every client of every run
+    still training trains from its run's start model in one
+    :func:`sgd_train_rows` call, each on its own stream, so every run is
+    bit-identical to :func:`run_federation` on ``config`` with its seed.
+    Updates are scaled by 1/n_clients.
+
+    A failure is the one running the seeds in list order would raise
+    first: the lowest failing run, its first failing round, its lowest
+    failing client.  Runs from a failing one on stop training; those
+    below it run to the end.
     """
-    first = configs[0]
-    arch = prepared[0][2]
+    prepared = [_prepare(replace(config, seed=seed)) for seed in seeds]
+    n = config.n_clients
+    scale = 1.0 / n
     m0 = [m_init for *_, m_init in prepared]
-    transcripts: list[list[RoundTranscript]] = [[] for _ in configs]
-    failures: dict[int, Exception] = {}
-    live = range(len(configs))
-    for t in range(1, max(config.rounds for config in configs) + 1):
-        running = [f for f in live if configs[f].rounds >= t]
-        if not running:
+    transcripts: list[list[RoundTranscript]] = [[] for _ in seeds]
+    failure = None
+    live = len(seeds)
+    for t in range(1, config.rounds + 1):
+        if not live:
             break
         streams = [
-            (prepared[f][0][i], [configs[f].seed, _SEED_TRAIN, t, i])
-            for f in running for i in range(configs[f].n_clients)
+            (prepared[f][0][i], [seeds[f], _SEED_TRAIN, t, i])
+            for f in range(live) for i in range(n)
         ]
-        # The start rows are references to each federation's model, so
-        # the trainer's copy is the round's only start stack.
-        starts = [m0[f].values for f in running for _ in range(configs[f].n_clients)]
+        # The start rows are references to each run's model, so the
+        # trainer's copy is the round's only start stack.
+        starts = [m0[f].values for f in range(live) for _ in range(n)]
         local, diverged = sgd_train_rows(
-            arch, starts, streams, epochs=first.local_epochs, lr=first.lr,
-            batch_size=first.batch_size,
+            prepared[0][2], starts, streams, epochs=config.local_epochs,
+            lr=config.lr, batch_size=config.batch_size,
         )
-        row = 0
-        for f in running:
-            scale = 1.0 / configs[f].n_clients
+        for f in range(live):
             try:
                 updates = []
-                for i in range(configs[f].n_clients):
+                for i in range(n):
+                    row = f * n + i
                     if diverged is not None and diverged.row == row:
                         raise TrainingDiverged(
                             f"client {i} diverged in round {t}: {diverged}", round=t
                         ) from diverged
                     delta = ModelParams((local[row] - m0[f].values) * scale)
                     updates.append(ClientUpdate(client=i, delta=delta))
-                    row += 1
                 m = ModelParams(
                     m0[f].values + np.sum([u.delta.values for u in updates], axis=0)
                 )
@@ -395,44 +396,12 @@ def _federate(
                 )
                 m0[f] = m
             except (TrainingDiverged, ModelError, FederationError) as exc:
-                failures[f] = exc
-                live = [g for g in live if g < f]
+                # every later failure belongs to a lower run, and wins
+                failure, live = exc, f
                 break
-    return transcripts, failures
-
-
-def test_set_for(config: FederationConfig) -> LabeledDataset:
-    """The deterministic test split a config implies (no training)."""
-    return _prepare(config)[1]
-
-
-def run_federations(
-    configs: Sequence[FederationConfig],
-) -> list[tuple[list[RoundTranscript], LabeledDataset]]:
-    """Run several federations; return each one's transcripts and test set.
-
-    Federations that share the architecture, local epochs, lr and batch
-    size train in lockstep (see :func:`_federate`); each result is
-    bit-identical to :func:`run_federation` on its config, and a failure
-    is the one running them in list order would raise first.
-    """
-    prepared = [_prepare(config) for config in configs]
-    groups: dict[tuple, list[int]] = {}
-    for f, config in enumerate(configs):
-        key = (prepared[f][2], config.local_epochs, config.lr, config.batch_size)
-        groups.setdefault(key, []).append(f)
-    transcripts: list = [None] * len(configs)
-    failures = {}
-    for members in groups.values():
-        runs, failed = _federate(
-            [configs[f] for f in members], [prepared[f] for f in members]
-        )
-        for k, run in enumerate(runs):
-            transcripts[members[k]] = run
-        failures.update((members[k], exc) for k, exc in failed.items())
-    if failures:
-        raise failures[min(failures)]
-    return [(transcripts[f], prepared[f][1]) for f in range(len(configs))]
+    if failure is not None:
+        raise failure
+    return [(run, test) for run, (_, test, *_) in zip(transcripts, prepared)]
 
 
 def run_federation(config: FederationConfig) -> tuple[list[RoundTranscript], LabeledDataset]:
@@ -440,7 +409,7 @@ def run_federation(config: FederationConfig) -> tuple[list[RoundTranscript], Lab
 
     Bit-identical across reruns of the same config.
     """
-    return run_federations([config])[0]
+    return run_federations(config, [config.seed])[0]
 
 
 class RetrainingGame:
@@ -456,11 +425,9 @@ class RetrainingGame:
 
     Within a round, client i trains on the same batches in every coalition
     that contains it; only the start model differs.  So coalitions train
-    in lockstep, round by round: a round's (client, coalition) rows go
-    through :func:`sgd_train_rows`, client-major, and each coalition ends
-    bit-identical to its own federation run.  In round 1 every coalition
-    starts from the initial model, so each client trains once and its
-    update serves every coalition that holds it.  Tabulating the oracle
+    in lockstep, round by round, through one round loop (:meth:`_retrain`)
+    over their (client, coalition) pairs, and each coalition ends
+    bit-identical to its own federation run.  Tabulating the oracle
     trains all 2^N coalitions this way; ``value`` trains just one.
     """
 
@@ -498,18 +465,19 @@ class RetrainingGame:
         """Train the coalitions in ``masks`` in lockstep, then yield their
         (masks, utilities) in evaluated chunks.
 
-        From round 2 on, a round's rows are the (client, coalition) pairs,
-        client-major, trained :data:`_ROW_CAP` at a time by
-        :func:`sgd_train_rows`.  Round 1 trains one row per client that
-        some coalition holds, from the initial model, and subtracts the
-        initial model once; each pair then scales that update by its own
-        1/|S|, the same two float operations on the same values as a row
-        per pair.  Every coalition's round total starts at 0.0 and adds its
-        members' scaled updates in ascending client order: the sequential
-        fold ``np.sum(deltas, axis=0)`` performs in ``_federate``.  A
-        divergence names the lowest diverging pair in that order; in round
-        1 a client diverges alike in all its pairs, so that is its first
-        coalition.
+        Each round trains a list of (client, coalition) pairs, client-major,
+        :data:`_ROW_CAP` at a time by :func:`sgd_train_rows`, each from its
+        coalition's start model.  From round 2 on that list is every pair,
+        and each pair's update serves its own coalition.  In round 1 every
+        coalition starts from the initial model, so a client's update is
+        the same in all of them: the list is each client's first pair, and
+        its update serves every coalition that holds the client.  Either
+        way a served coalition adds the update scaled by its own 1/|S| to
+        its round total, which starts at 0.0 and takes its members in
+        ascending client order: the sequential fold ``np.sum(deltas,
+        axis=0)`` performs in :func:`run_federations`.  A divergence names
+        the lowest diverging pair in that order; in round 1 a client
+        diverges alike in all its pairs, so that is its first coalition.
         """
         cfg = self.config
         trained = [mask for mask in masks if mask]
@@ -520,15 +488,16 @@ class RetrainingGame:
              for k, mask in enumerate(trained) if mask >> i & 1],
             dtype=np.int64,
         ).reshape(-1, 2)
+        firsts = pairs[np.unique(pairs[:, 0], return_index=True)[1]]
         total = np.empty_like(models)
         for t in range(1, cfg.rounds + 1):
             total.fill(0.0)
             streams = [(shard, [cfg.seed, _SEED_TRAIN, t, i])
                        for i, shard in enumerate(self._shards)]
-
-            def train(clients, rows, start):
-                """Each client's update from its start row; a divergence
-                names the coalition ``trained[rows[...]]``."""
+            todo = firsts if t == 1 else pairs
+            for lo in range(0, len(todo), _ROW_CAP):
+                clients, rows = todo[lo : lo + _ROW_CAP].T
+                start = models[rows]
                 local, diverged = sgd_train_rows(
                     self._arch, start, [streams[i] for i in clients],
                     epochs=cfg.local_epochs,
@@ -544,29 +513,12 @@ class RetrainingGame:
                         round=t,
                     ) from diverged
                 local -= start
-                return local
-
-            if t == 1:
-                # Every coalition starts from m_init, so a client's update
-                # is the same in all of them: train it once, named after
-                # its first coalition, and scale it per coalition; clients
-                # go in ascending order, as below.
-                clients, first = np.unique(pairs[:, 0], return_index=True)
-                start = np.tile(self._m_init.values, (len(clients), 1))
-                for i, update in zip(clients, train(clients, pairs[first, 1], start)):
-                    rows = pairs[pairs[:, 0] == i, 1]
-                    total[rows] += update * scales[rows, None]
-            else:
-                for lo in range(0, len(pairs), _ROW_CAP):
-                    clients, rows = pairs[lo : lo + _ROW_CAP].T
-                    local = train(clients, rows, models[rows])
-                    local *= scales[rows, None]
-                    # One client's rows name distinct coalitions; clients go
-                    # in ascending order, so each total folds its members
-                    # in order.
-                    for i in np.unique(clients):
-                        mine = clients == i
-                        total[rows[mine]] += local[mine]
+                # Clients go in ascending order, so each total folds its
+                # members in order; one client's served rows are distinct.
+                for i in np.unique(clients):
+                    mine = clients == i
+                    served = pairs[pairs[:, 0] == i, 1] if t == 1 else rows[mine]
+                    total[served] += local[mine] * scales[served, None]
             models += total
             _check_models(trained, models)
         del total  # not needed while the chunks below are evaluated

@@ -356,27 +356,20 @@ def mr_shapley_games(
     return [round_oracle(t, evaluator) for t in transcripts]
 
 
-def mr_shapley_rows(
+def mr_shapley(
     transcripts: Sequence[RoundTranscript], evaluator: Callable
-) -> np.ndarray:
-    """Exact Shapley of every round game, one row per round in round order.
+) -> ScoreVector:
+    """Multi-round Shapley: exact Shapley on every round's coalition game,
+    averaged across rounds.
 
     Costs exactly 2^N evaluator calls per round, audited by
     :func:`shapley_exact`.  The round games are independent, so
     :func:`shapley_exact_all` runs them on worker processes; the counts
     on ``evaluator`` read as if they had run here.
     """
-    games = mr_shapley_games(transcripts, evaluator)
-    return np.array([vector.scores for vector in shapley_exact_all(games)])
-
-
-def mr_shapley(
-    transcripts: Sequence[RoundTranscript], evaluator: Callable
-) -> ScoreVector:
-    """Multi-round Shapley: exact Shapley on every round's coalition game,
-    averaged across rounds (see :func:`mr_shapley_rows`)."""
     transcripts = list(transcripts)
-    rows = mr_shapley_rows(transcripts, evaluator)
+    games = mr_shapley_games(transcripts, evaluator)
+    rows = np.array([vector.scores for vector in shapley_exact_all(games)])
     return ScoreVector("MR-SV", rows.mean(axis=0), round=transcripts[-1].round)
 
 

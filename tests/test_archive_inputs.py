@@ -3,12 +3,15 @@
 Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
-config.  A file the manifest relies on but the directory lacks names
+config.  Each ``config.json`` field must be there with its JSON type, so
+a bad one is named instead of loading and failing later.  A file the manifest relies on but the directory lacks names
 that file.  A save that fails part-way leaves no archive that loads.
 """
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -54,6 +57,51 @@ def test_files_must_map_names_to_strings(archive, files):
         load_transcripts(archive)
 
 
+DELETE = object()
+
+
+def _set_config(arc, path, value):
+    """Set (or, for DELETE, drop) the config field at ``path`` and rewrite
+    the manifest checksum, so only the field itself is wrong."""
+    config = json.loads((arc / "config.json").read_text())
+    *parents, key = path
+    target = config
+    for name in parents:
+        target = target[name]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    data = json.dumps(config, indent=2, sort_keys=True).encode()
+    (arc / "config.json").write_bytes(data)
+    _set_manifest(arc, "config_sha256", hashlib.sha256(data).hexdigest())
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("dataset", "dim"), 2.5, "dataset.dim must be an integer, got 2.5"),
+    (("dataset", "n_classes"), 3.0, "dataset.n_classes must be an integer, got 3.0"),
+    (("dataset", "separation"), "0.8", "dataset.separation must be a number, got '0.8'"),
+    (("dataset", "dim"), DELETE, "missing field dataset.dim"),
+    (("seed",), "x", "seed must be an integer, got 'x'"),
+    (("rounds",), True, "rounds must be an integer, got True"),
+    (("lr",), None, "lr must be a number, got None"),
+    (("iid",), "no", "iid must be a boolean, got 'no'"),
+    (("iid",), 0, "iid must be a boolean, got 0"),
+    (("noise_rates",), [0.1, "0.2", 0.0], "noise_rates must be null or a list of numbers"),
+    (("noise_rates",), 0.1, "noise_rates must be null or a list of numbers, got 0.1"),
+    (("flip_target",), 1.0, "flip_target must be null or an integer, got 1.0"),
+    (("utility_kind",), 1, "utility_kind must be a string, got 1"),
+    (("batch_size",), DELETE, "missing field batch_size"),
+    (("batch_sizes",), 8, "unknown field batch_sizes"),
+    (("dataset",), [4, 20], "dataset must be an object, got [4, 20]"),
+    (("n_clients",), 0, "need at least one client, got 0"),
+])
+def test_bad_config_field_is_named(archive, path, value, message):
+    _set_config(archive, path, value)
+    with pytest.raises(ArchiveError, match=re.escape(f"config.json: {message}")):
+        load_transcripts(archive)
+
+
 def test_missing_config_named(archive):
     (archive / "config.json").unlink()
     with pytest.raises(ArchiveError, match="config.json: cannot read"):
@@ -85,6 +133,30 @@ def test_cli_names_the_key(archive):
     )
     assert proc.returncode == 1
     assert "manifest.json: 'rounds' must be a positive integer, got 0" in proc.stderr
+
+
+def test_config_that_is_not_json_is_named(archive):
+    data = b'{"n_clients": 3,'
+    (archive / "config.json").write_bytes(data)
+    _set_manifest(archive, "config_sha256", hashlib.sha256(data).hexdigest())
+    with pytest.raises(ArchiveError, match="config.json: not valid JSON"):
+        load_transcripts(archive)
+
+
+def test_cli_names_the_config_field(archive):
+    # a float dimension used to load and then raise a bare TypeError, with
+    # a traceback, inside the data generator
+    _set_config(archive, ("dataset", "dim"), 2.5)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedscore", "score", str(archive), "--method", "loo"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "fedscore: error: config.json: dataset.dim must be an integer, got 2.5\n"
+    )
 
 
 def test_failed_save_leaves_no_archive_and_no_staging(archive, tiny_run, monkeypatch):

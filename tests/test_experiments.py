@@ -25,6 +25,7 @@ from fedscore import (
     cos_accumulated,
     ee,
     fp,
+    ioi,
     loo,
     model_eval_oracle,
     mr_shapley,
@@ -841,7 +842,7 @@ class TestCli:
         row = list(csv.DictReader(proc.stdout.splitlines()))[0]
         assert row["round"] == str(config.rounds)
 
-    @pytest.mark.parametrize("flag", ["loo", "fp", "ee", "cos", "mrsv"])
+    @pytest.mark.parametrize("flag", ["loo", "ioi", "fp", "ee", "cos", "mrsv"])
     def test_score_flag_matches_library(self, flag, tiny_run, tmp_path):
         config, transcripts, _ = tiny_run
         arc = tmp_path / "arc"
@@ -857,7 +858,7 @@ class TestCli:
         loaded_config, loaded = load_transcripts(arc)
         evaluator = model_eval_oracle(
             fedsim.test_set_for(loaded_config), loaded_config.utility_kind)
-        rules = {"loo": loo, "fp": fp, "ee": ee}
+        rules = {"loo": loo, "ioi": ioi, "fp": fp, "ee": ee}
         if flag in rules:
             want = rules[flag](
                 utilities_from_transcript(loaded[rnd - 1], evaluator))

@@ -4,13 +4,14 @@ sequential code they replace (``reference_training``).
 ``sgd_train_rows`` trains each row of a stack on its own (data, seed)
 stream; every row must end bit-identical to ``sgd_train`` on it alone and
 to the one-model loop from before.  ``run_federation``, ``run_federations``
-and ``run_repeats`` must reproduce one sequential federation per config.
+and ``run_repeats`` must reproduce one sequential federation per seed.
 A divergence must be reported as the sequential order meets it first: the
-lowest failing federation, its first failing round, its lowest failing
+lowest failing run, its first failing round, its lowest failing
 client, with that client's first failure.  Every comparison of floats is
 on their uint64 view, with no tolerance.
 """
 
+import dataclasses
 import io
 
 import numpy as np
@@ -122,12 +123,20 @@ def test_run_federation_is_the_sequential_loop(config):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.lists(configs(), min_size=2, max_size=4))
-def test_run_federations_mixes_settings(configs_):
-    # federations that differ in epochs or batch size train in separate
-    # lockstep groups; each still matches its own sequential run
-    for (transcripts, _), config in zip(run_federations(configs_), configs_):
-        assert_same_runs(transcripts, reference_training.federate(config)[0])
+@given(configs(), st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+def test_run_federations_is_one_sequential_loop_per_seed(config, seeds):
+    runs = run_federations(config, seeds)
+    assert len(runs) == len(seeds)
+    for (transcripts, test), seed in zip(runs, seeds):
+        expected, expected_test = reference_training.federate(
+            dataclasses.replace(config, seed=seed)
+        )
+        assert_same_runs(transcripts, expected)
+        assert np.array_equal(bits(test.features), bits(expected_test.features))
+
+
+def test_no_seeds_run_no_federations():
+    assert run_federations(tiny_config(), []) == []
 
 
 REPEATS_SCENARIO = """\
@@ -243,12 +252,12 @@ def test_the_lower_client_wins_though_it_diverges_later(monkeypatch):
 
 
 def test_the_lower_federation_wins_though_it_diverges_later(monkeypatch):
-    first, second = tiny_config(n_clients=3, seed=20), tiny_config(n_clients=3, seed=21)
+    config = tiny_config(n_clients=3)
     _poison(monkeypatch, {(20, 2): 11, (21, 0): 0})
-    got = _raised(run_federations, [first, second])
-    want = _raised(reference_training.federate, first)
+    got = _raised(run_federations, config, [20, 21])
+    want = _raised(reference_training.federate, tiny_config(n_clients=3, seed=20))
     assert str(got) == str(want) == "client 2 diverged in round 1: local loss became nan"
-    alone = _raised(run_federations, [tiny_config(n_clients=3, seed=22), second])
+    alone = _raised(run_federations, config, [22, 21])
     assert str(alone) == "client 0 diverged in round 1: local loss became nan"
 
 

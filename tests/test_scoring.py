@@ -38,7 +38,7 @@ from fedscore.fedsim import (
     model_eval_oracle,
     round_oracle,
 )
-from fedscore.scoring import mr_shapley_rows, score_row
+from fedscore.scoring import score_row
 
 from helpers import random_game, worked_game
 
@@ -294,7 +294,7 @@ class TestMrShapley:
             1, m0, tuple(ClientUpdate(i, zero) for i in range(13)), m0
         )
         with pytest.raises(ScoringError, match="capped at 12 clients, got 13"):
-            mr_shapley_rows([wide], evaluator)
+            mr_shapley([wide], evaluator)
         assert evaluator.call_count == 0
 
 

@@ -31,9 +31,10 @@ from fedscore.fedsim import (
 )
 from fedscore.fedsim.federation import _coalition_models
 from fedscore.fedsim.mlp import stack_accuracy
+from fedscore.games import shapley_exact_all
 from fedscore.scoring import (
     game_round_utilities,
-    mr_shapley_rows,
+    mr_shapley_games,
     utilities_from_transcript,
 )
 
@@ -168,7 +169,8 @@ def test_mr_shapley_rows_in_round_order_at_two_to_the_n_per_round(kind):
     n, rounds = 5, 4
     transcripts = make_transcripts(n, rounds)
     evaluator = ModelEvaluator(ARCH, TEST, kind)
-    rows = mr_shapley_rows(transcripts, evaluator)
+    games = mr_shapley_games(transcripts, evaluator)
+    rows = [vector.scores for vector in shapley_exact_all(games)]
     assert evaluator.call_count == rounds * 2**n
     for t in transcripts:
         before = evaluator.call_count
