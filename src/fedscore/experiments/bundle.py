@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import time
 
 from ..fedsim.archive import write_staged
@@ -54,16 +55,19 @@ def write_table(tables_dir, name, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
-    json_path = os.path.join(tables_dir, f"{name}.json")
-    payload = {
+    _write_json(os.path.join(tables_dir, f"{name}.json"), {
         "name": name,
         "header": list(header),
         "rows": [list(row) for row in rows],
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
+    })
+    return [f"{name}.csv", f"{name}.json"]
+
+
+def _write_json(path, payload):
+    """Compact JSON with sorted keys and a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
-    return [f"{name}.csv", f"{name}.json"]
 
 
 def _sha256(path):
@@ -159,17 +163,11 @@ def _write_bundle(path, scenario, out_dir):
         contexts = None  # frees the base federations and their caches
 
     seeds_path = os.path.join(out_dir, "seeds.json")
-    with open(seeds_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(
-            {
-                "master_seed": scenario.master_seed,
-                "seeds": derive_seeds(scenario.master_seed, scenario.repeats),
-            },
-            sort_keys=True, separators=(",", ":"),
-        ))
-        fh.write("\n")
-
-    _snapshot(path, out_dir)
+    _write_json(seeds_path, {
+        "master_seed": scenario.master_seed,
+        "seeds": derive_seeds(scenario.master_seed, scenario.repeats),
+    })
+    shutil.copyfile(path, os.path.join(out_dir, "scenario.snapshot"))
 
     checksums = {
         f"tables/{name}": _sha256(os.path.join(tables_dir, name))
@@ -181,28 +179,16 @@ def _write_bundle(path, scenario, out_dir):
         fh.write(json.dumps(checksums, sort_keys=True, indent=1))
         fh.write("\n")
 
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(
-            {
-                "scenario": scenario.name,
-                "components": [name for name, *_ in components],
-                "tables": sorted(files),
-            },
-            sort_keys=True, separators=(",", ":"),
-        ))
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run.json"), {
+        "scenario": scenario.name,
+        "components": [name for name, *_ in components],
+        "tables": sorted(files),
+    })
 
 
 def _stem(path):
     base = os.path.basename(str(path))
     return base[:-len(".scenario")] if base.endswith(".scenario") else base
-
-
-def _snapshot(path, out_dir):
-    """Copy the scenario source next to its results."""
-    target = os.path.join(out_dir, "scenario.snapshot")
-    with open(path, "rb") as src, open(target, "wb") as dst:
-        dst.write(src.read())
 
 
 def verify_bundle(bundle_dir):

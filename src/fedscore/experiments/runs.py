@@ -169,15 +169,6 @@ def _tabulate_references(contexts, methods, horizon):
         ctx.cache[key] = vector.scores
 
 
-def _reference(ctx, method, horizon):
-    """MR-SV's rows of rounds 1..horizon or SV's scores at this horizon,
-    each game solved once per context."""
-    _tabulate_references([ctx], [method], horizon)
-    if method == "MR-SV":
-        return np.array([ctx.cache[("MR-SV", r)] for r in range(1, horizon + 1)])
-    return ctx.cache[("SV", horizon)]
-
-
 def _utility_rule(method):
     """The rule scoring one round from its 2N+2 utilities, or None.
 
@@ -191,11 +182,11 @@ def method_scores(method, ctx, eval_round, horizon):
     """One repeat's ScoreVector for a method label.
 
     LOO, IOI, FP and EE score round eval_round from its 2N+2 utilities;
-    COS sums and MR-SV averages the per-round scores of rounds
-    1..horizon; SV is the exact Shapley value of the horizon-round
-    retraining game.  Utilities, MR-SV rows and SV are computed at most
-    once per context; the components tabulate every context's MR-SV and
-    SV games up front (``_tabulate_references``).
+    COS sums the per-round scores of rounds 1..horizon.  MR-SV averages
+    the rows of rounds 1..horizon that ``ctx.cache`` holds under
+    ``("MR-SV", round)``; SV is the horizon-round retraining game's exact
+    Shapley value, held under ``("SV", horizon)``.  ``_tabulate_references``
+    solves only what the components did not tabulate up front.
     """
     rule = _utility_rule(method)
     if rule is not None:
@@ -203,12 +194,14 @@ def method_scores(method, ctx, eval_round, horizon):
         return dataclasses.replace(vector, round=eval_round)
     if method == "COS":
         return cos_accumulated(ctx.transcripts[:horizon])
-    if method == "MR-SV":
-        scores = _reference(ctx, method, horizon).mean(axis=0)
-    elif method == "SV":
-        scores = _reference(ctx, method, horizon)
-    else:
+    if method not in ("MR-SV", "SV"):
         raise ExperimentError(f"unknown method {method!r}")
+    _tabulate_references([ctx], [method], horizon)
+    if method == "MR-SV":
+        rows = [ctx.cache[("MR-SV", r)] for r in range(1, horizon + 1)]
+        scores = np.array(rows).mean(axis=0)
+    else:
+        scores = ctx.cache[("SV", horizon)]
     return ScoreVector(method, scores, round=horizon)
 
 
@@ -218,22 +211,24 @@ def _horizon(scenario):
     return scenario.eval_round
 
 
-
-
 def _block(scenario, kind):
     """The scenario's downstream block of this type, or None."""
     return next((b for b in scenario.downstream if isinstance(b, kind)), None)
 
 
+def _mean_var(values):
+    """Mean and sample variance (0.0 for one value), in list order."""
+    vals = np.array(values)
+    return float(vals.mean()), (float(vals.var(ddof=1)) if vals.size > 1 else 0.0)
+
+
 def _summarize(methods, per_repeat):
-    rows = []
-    for method in methods:
-        cols = [r for r in per_repeat if r[2] == method]
-        for k, metric in enumerate(METRIC_NAMES):
-            vals = np.array([r[3 + k] for r in cols])
-            var = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
-            rows.append((method, metric, float(vals.mean()), var))
-    return rows
+    return [
+        (method, metric,
+         *_mean_var([r[3 + k] for r in per_repeat if r[2] == method]))
+        for method in methods
+        for k, metric in enumerate(METRIC_NAMES)
+    ]
 
 
 def rank_fidelity(scenario, contexts=None):
@@ -322,16 +317,14 @@ def _weighted_model(transcript, weights):
 
 def _round_scores(method, ctx, t):
     """Round t's own scores for the weighting pipeline: a single-round
-    rule on round t's utilities, COS of round t, or round t's MR-SV
-    row."""
+    rule on round t's utilities, COS of round t, or the MR-SV row that
+    ``ctx.cache`` holds under ``("MR-SV", t.round)``."""
     rule = _utility_rule(method)
     if rule is not None:
         return rule(round_utilities(ctx, t.round)).scores
-    per_round = {
-        "COS": lambda: cos_score(t).scores,
-        "MR-SV": lambda: _reference(ctx, method, t.round)[-1],
-    }
-    return per_round[method]()
+    if method == "COS":
+        return cos_score(t).scores
+    return ctx.cache[("MR-SV", t.round)]
 
 
 def _relabeled(scenario, rates):
@@ -353,24 +346,25 @@ def weighted_aggregation(scenario):
     the transcript's aggregate bit-exactly.  Settings come from the
     scenario's weighted block, or its defaults when there is none.
     weighted_flagged lists the (repeat, round, method) whose weights
-    degenerated to uniform.
+    degenerated to uniform.  weighted_curves_mean and, at the last round,
+    weighted_summary read one grouping of weighted_curves by (round,
+    method), each list in repeat order.
     """
     block = _block(scenario, WeightedBlock) or WeightedBlock()
     n = scenario.federation.n_clients
+    rounds = scenario.federation.rounds
     rates = block.rates if block.rates is not None else linear_rates(n)
     contexts = run_repeats(_relabeled(scenario, rates))
     methods = tuple(m for m in scenario.methods if m != "SV")
-    _tabulate_references(contexts, methods, scenario.federation.rounds)
+    _tabulate_references(contexts, methods, rounds)
 
     curves = []
     flagged = []
-    finals = {m: [] for m in methods}
-    fedavg_finals = []
     for ctx in contexts:
         arch = MlpArch.for_data(ctx.evaluator.test)
         neg_loss = ModelEvaluator(arch, ctx.evaluator.test, "neg_loss")
         history = {m: [] for m in methods}
-        for t_index, t in enumerate(ctx.transcripts):
+        for t in ctx.transcripts:
             uniform = _weighted_model(t, np.ones(n))
             if not np.array_equal(uniform.values, t.m.values):
                 raise ExperimentError(
@@ -389,34 +383,25 @@ def weighted_aggregation(scenario):
                     flagged.append((ctx.repeat, t.round, method))
                 value = float(neg_loss(_weighted_model(t, weights)))
                 curves.append((ctx.repeat, t.round, method, value))
-                if t_index == len(ctx.transcripts) - 1:
-                    finals[method].append(value)
-            base = float(neg_loss(t.m))
-            curves.append((ctx.repeat, t.round, "FedAvg", base))
-            if t_index == len(ctx.transcripts) - 1:
-                fedavg_finals.append(base)
+            curves.append((ctx.repeat, t.round, "FedAvg", float(neg_loss(t.m))))
 
-    aggregate = []
-    for rnd in range(1, scenario.federation.rounds + 1):
-        for method in list(methods) + ["FedAvg"]:
-            vals = np.array([
-                v for rep, r, m, v in curves if r == rnd and m == method
-            ])
-            var = float(vals.var(ddof=1)) if vals.size > 1 else 0.0
-            aggregate.append((rnd, method, float(vals.mean()), var))
-
-    summary = []
-    for method in methods:
-        wins = sum(
-            1 for f, b in zip(finals[method], fedavg_finals) if f >= b
-        )
-        summary.append((
-            method,
-            wins,
-            len(contexts),
-            float(np.mean(finals[method])),
-            float(np.mean(fedavg_finals)),
-        ))
+    grouped = {}
+    for _, rnd, method, value in curves:
+        grouped.setdefault((rnd, method), []).append(value)
+    aggregate = [
+        (rnd, method, *_mean_var(grouped[rnd, method]))
+        for rnd in range(1, rounds + 1)
+        for method in (*methods, "FedAvg")
+    ]
+    fedavg = grouped[rounds, "FedAvg"]
+    summary = [
+        (method,
+         sum(f >= b for f, b in zip(grouped[rounds, method], fedavg)),
+         len(contexts),
+         float(np.mean(grouped[rounds, method])),
+         float(np.mean(fedavg)))
+        for method in methods
+    ]
     return [
         ("weighted_curves", ("repeat", "round", "method", "neg_loss"), curves),
         ("weighted_curves_mean",

@@ -183,6 +183,10 @@ class Scenario:
     def __post_init__(self):
         if self.repeats < 1:
             raise ScenarioError("scenario.repeats: must be >= 1")
+        if self.master_seed < 0:
+            raise ScenarioError(
+                f"scenario.master_seed: must be nonnegative, got {self.master_seed}"
+            )
         _check_round("scenario.eval_round", self.eval_round,
                      self.federation.rounds)
         if self.reference not in REFERENCE_KINDS:
@@ -195,12 +199,14 @@ class Scenario:
                 f"scenario.reference_rounds: {self.reference_rounds!r} "
                 f"not one of {REFERENCE_ROUNDS}"
             )
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHOD_LABELS:
                 raise ScenarioError(
                     f"scenario.methods: unknown method {m!r}, expected "
                     f"{METHOD_LABELS}"
                 )
+            if m in self.methods[:i]:
+                raise ScenarioError(f"scenario.methods: {m} listed twice")
         if not self.methods:
             raise ScenarioError("scenario.methods: at least one method")
         self._check_caps(self.federation.n_clients, "federation.n_clients")

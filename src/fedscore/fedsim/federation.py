@@ -101,6 +101,8 @@ class FederationConfig:
             )
         if self.local_epochs < 0:
             raise FederationError(f"local_epochs must be nonnegative, got {self.local_epochs}")
+        if self.seed < 0:
+            raise FederationError(f"seed must be nonnegative, got {self.seed}")
         if not (self.lr > 0 and np.isfinite(self.lr)) or self.batch_size < 1:
             raise FederationError(
                 f"bad training settings: lr={self.lr} batch_size={self.batch_size}"

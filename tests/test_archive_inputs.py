@@ -95,6 +95,7 @@ def _set_config(arc, path, value):
     (("batch_sizes",), 8, "unknown field batch_sizes"),
     (("dataset",), [4, 20], "dataset must be an object, got [4, 20]"),
     (("n_clients",), 0, "need at least one client, got 0"),
+    (("seed",), -1, "seed must be nonnegative, got -1"),
 ])
 def test_bad_config_field_is_named(archive, path, value, message):
     _set_config(archive, path, value)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import weakref
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,19 @@ class TestScenarioParsing:
         text = TINY_SCENARIO.replace("LOO, FP, EE, COS", "LOO, BANZHAF")
         with pytest.raises(ScenarioError, match="BANZHAF"):
             parse_scenario(io.StringIO(text), name="scenario")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("master_seed", -1, r"scenario\.master_seed: must be nonnegative, got -1"),
+        ("methods", ("LOO", "FP", "LOO"), r"scenario\.methods: LOO listed twice"),
+    ])
+    def test_scenario_field_checked_in_files_and_copies(self, field, value, message):
+        raw = ", ".join(value) if isinstance(value, tuple) else str(value)
+        text = re.sub(rf"^{field} = .*$", f"{field} = {raw}", TINY_SCENARIO,
+                      flags=re.M)
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(io.StringIO(text), name="scenario")
+        with pytest.raises(ScenarioError, match=message):
+            dataclasses.replace(tiny_scenario(), **{field: value})
 
     def test_bad_reference_rounds_rejected(self):
         text = TINY_SCENARIO.replace("reference_rounds = eval",
@@ -549,6 +563,30 @@ class TestWeightedAggregation:
         rounds = {row[1] for row in curves}
         assert rounds == {1, 2}
 
+    def test_means_and_summary_restate_the_curves(self, coverage_bundle):
+        # The coverage bundle weights per round, over MR-SV among others.
+        bundle, _ = coverage_bundle
+        tables = {
+            name: json.loads((Path(bundle) / "tables" / f"{name}.json")
+                             .read_text())["rows"]
+            for name in ("weighted_curves", "weighted_curves_mean",
+                         "weighted_summary")
+        }
+        curves = {(rep, rnd, m): v for rep, rnd, m, v in tables["weighted_curves"]}
+        repeats = sorted({rep for rep, _, _ in curves})
+        last = max(rnd for _, rnd, _ in curves)
+        means = {(rnd, m): mean for rnd, m, mean, _ in tables["weighted_curves_mean"]}
+        summary = tables["weighted_summary"]
+        assert "MR-SV" in [row[0] for row in summary]
+        for method, wins, n_repeats, final, fedavg_final in summary:
+            assert final == means[last, method]
+            assert fedavg_final == means[last, "FedAvg"]
+            assert wins == sum(
+                curves[rep, last, method] >= curves[rep, last, "FedAvg"]
+                for rep in repeats
+            )
+            assert n_repeats == len(repeats)
+
 
 class TestMisbehavior:
     def test_obvious_attacker_is_found(self):
@@ -768,6 +806,12 @@ class TestBundleReplacement:
             verify_bundle(str(out))
         assert sorted(os.listdir(out)) == ["notes.txt"]
         assert sorted(os.listdir(tmp_path)) == ["out", "tiny.scenario"]
+
+    def test_refused_seed_leaves_the_older_bundle(self, tmp_path):
+        path, out = self.old_bundle(tmp_path)
+        with pytest.raises(ScenarioError, match=r"scenario\.master_seed"):
+            run_scenario(str(path), out_dir=str(out), master_seed=-1)
+        assert verify_bundle(str(out)) == []
 
     def test_rerun_replaces_every_table_of_an_older_bundle(self, tmp_path):
         path, out = self.old_bundle(tmp_path)

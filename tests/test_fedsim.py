@@ -7,14 +7,18 @@ by determinism and by the aggregate identity m = m0 + sum of deltas.
 
 import json
 import re
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedscore import Coalition, GameError
 from fedscore.fedsim import (
     ArchiveError,
+    ClientUpdate,
     DataError,
     FederationConfig,
     FederationError,
@@ -46,6 +50,41 @@ from fedscore.fedsim import federation, mlp
 from fedscore.fedsim import test_set_for as config_test_set
 
 from conftest import TINY_SPEC, tiny_config
+
+# Archive values: signed zeros, subnormals and magnitudes up to 1e300.
+ARCHIVE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def archived_runs(draw):
+    """(config, transcripts) of 1-4 clients, 1-3 rounds and 1-6 parameters."""
+    n = draw(st.integers(1, 4))
+    rounds = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 6))
+    vectors = st.lists(ARCHIVE_FLOATS, min_size=dim, max_size=dim).map(np.array)
+    transcripts = []
+    for rnd in range(1, rounds + 1):
+        m0 = draw(vectors)
+        deltas = [draw(vectors) for _ in range(n)]
+        m = m0 + np.sum(deltas, axis=0)
+        assume(np.all(np.isfinite(m)))
+        transcripts.append(RoundTranscript(
+            round=rnd,
+            m0=ModelParams(m0),
+            updates=tuple(ClientUpdate(i, ModelParams(d))
+                          for i, d in enumerate(deltas)),
+            m=ModelParams(m),
+        ))
+    config = tiny_config(
+        n_clients=n,
+        rounds=rounds,
+        noise_rates=draw(st.none() | st.tuples(*[st.floats(0.0, 1.0)] * n)),
+        flip_target=draw(st.none() | st.integers(0, TINY_SPEC.n_classes - 1)),
+    )
+    return config, transcripts
 
 
 class TestSyntheticData:
@@ -321,6 +360,8 @@ class TestFederation:
             tiny_config(flip_target=3)
         with pytest.raises(FederationError):
             tiny_config(utility_kind="f1")
+        with pytest.raises(FederationError, match="seed must be nonnegative, got -1"):
+            tiny_config(seed=-1)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_lr_rejected(self, lr):
@@ -432,6 +473,26 @@ class TestArchive:
             for ua, ub in zip(a.updates, b.updates):
                 assert ua.client == ub.client
                 assert np.array_equal(ua.delta.values, ub.delta.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(archived_runs())
+    def test_roundtrip_is_bit_exact(self, run):
+        config, transcripts = run
+
+        def bits(params):
+            return params.values.view(np.uint64)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            save_transcripts(tmp, config, transcripts)
+            loaded_config, loaded = load_transcripts(tmp)
+        assert loaded_config == config
+        assert [t.round for t in loaded] == [t.round for t in transcripts]
+        for a, b in zip(transcripts, loaded):
+            assert np.array_equal(bits(a.m0), bits(b.m0))
+            assert np.array_equal(bits(a.m), bits(b.m))
+            for ua, ub in zip(a.updates, b.updates):
+                assert ua.client == ub.client
+                assert np.array_equal(bits(ua.delta), bits(ub.delta))
 
     def test_tampered_round_detected(self, tiny_run, tmp_path):
         config, transcripts, _ = tiny_run
