@@ -80,7 +80,7 @@ def _cmd_influence(args):
     try:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "influence", "normalized"])
-        n = matrix.n_clients
+        n = len(matrix.entries)
         for j in range(n):
             for i in range(n):
                 writer.writerow([
@@ -172,9 +172,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # The reader went away (`fedscore report B | head -1`): stop
+        # quietly, with stdout on devnull so that the flush at exit cannot
+        # fail again, as Python's "Note on SIGPIPE" advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"fedscore: error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from .mlp import (
     ModelParams,
     TrainingDiverged,
     _ROW_CAP,
+    accuracy_screen,
     init_params,
     sgd_train_rows,
     stack_accuracy,
@@ -60,8 +61,11 @@ AGGREGATION_TOL = 1e-9
 
 UTILITY_KINDS = ("accuracy", "neg_loss")
 
-# Coalition models per stacked evaluation when a game is tabulated.
-_TABULATION_CHUNK = 4
+# Coalition models per stacked evaluation when a game is tabulated.  At
+# the bundled sizes (24 features, 1,000 test samples, 4 classes; 2-vCPU
+# Xeon, best of 9) the float32 accuracy screen took 76 us per model in
+# stacks of 4 and 67 us in stacks of 8; the loss stayed at 162-170 us.
+_TABULATION_CHUNK = 8
 
 
 class FederationError(ValueError):
@@ -204,6 +208,7 @@ class ModelEvaluator:
         self.test = test
         self.utility_kind = utility_kind
         self._count = 0
+        self._screen = None  # accuracy_screen(test), on first use
 
     def __call__(self, model: ModelParams) -> float:
         return float(self.evaluate_stack(model.values[None])[0])
@@ -219,7 +224,9 @@ class ModelEvaluator:
             )
         self._count += len(stack)
         if self.utility_kind == "accuracy":
-            return stack_accuracy(self.arch, stack, self.test)
+            if self._screen is None:
+                self._screen = accuracy_screen(self.test)
+            return stack_accuracy(self.arch, stack, self.test, self._screen)
         return -stack_mean_loss(self.arch, stack, self.test)
 
     @property

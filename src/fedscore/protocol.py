@@ -134,10 +134,6 @@ class InfluenceMatrix:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "flagged_columns", tuple(self.flagged_columns))
 
-    @property
-    def n_clients(self) -> int:
-        return int(self.entries.shape[0])
-
 
 def influence_matrix(utilities: RoundUtilities) -> InfluenceMatrix:
     """Per-pair influence: entry (i, j) = influence(i) / (2(N-1)^2) off the
