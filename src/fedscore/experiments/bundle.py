@@ -114,8 +114,8 @@ _BLOCKS = {
 def run_scenario(path, out_dir=None, master_seed=None):
     """Parse, execute, and persist a scenario; returns the bundle dir.
 
-    The base federations are trained once and shared by rank fidelity,
-    a round-axis ablation, influence, and manipulation; weighted
+    The base federations are trained here, once, and handed to rank
+    fidelity, a round-axis ablation, influence, and manipulation; weighted
     aggregation, misbehavior and an n_clients or mu ablation train their
     own, because they change the split, the labels or the federation.
     The components that read the base federations run first, in scenario
@@ -194,19 +194,26 @@ def _stem(path):
 def verify_bundle(bundle_dir):
     """Recompute every checksum in a bundle; returns the mismatch list.
 
-    ``run.json`` is not checksummed, so it is listed as a mismatch when it
-    is missing or unreadable, or when its tables are not exactly the
-    checksummed ones: a stale ``run.json`` left beside a newer manifest.
+    A ``checksums.json`` that is not a JSON object is the only mismatch
+    listed.  ``run.json`` is not checksummed, so it is listed as a
+    mismatch when it is missing or unreadable, or when its tables are not
+    exactly the checksummed ones: a stale ``run.json`` left beside a
+    newer manifest.
     """
     manifest = os.path.join(bundle_dir, "checksums.json")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"{bundle_dir}: no checksums.json")
-    with open(manifest, "r", encoding="utf-8") as fh:
-        recorded = json.load(fh)
+    try:
+        with open(manifest, "r", encoding="utf-8") as fh:
+            recorded = json.load(fh)
+    except ValueError:  # not JSON, or not UTF-8
+        recorded = None
+    if not isinstance(recorded, dict):
+        return ["checksums.json"]
     bad = []
     for rel, digest in sorted(recorded.items()):
         full = os.path.join(bundle_dir, rel)
-        if not os.path.exists(full) or _sha256(full) != digest:
+        if not os.path.isfile(full) or _sha256(full) != digest:
             bad.append(rel)
     tables = sorted(rel[len("tables/"):] for rel in recorded if rel.startswith("tables/"))
     try:

@@ -53,7 +53,6 @@ def _load_archive(args):
     config, transcripts = load_transcripts(args.archive)
     ctx = RepeatContext(
         repeat=0,
-        seed=config.seed,
         config=config,
         transcripts=tuple(transcripts),
         evaluator=model_eval_oracle(test_set_for(config), config.utility_kind),
@@ -68,7 +67,7 @@ def _load_archive(args):
 
 def _cmd_score(args):
     ctx, rnd = _load_archive(args)
-    vector = method_scores(_METHODS[args.method], ctx, rnd, rnd)
+    vector = method_scores(_METHODS[args.method], ctx, rnd, range(1, rnd + 1))
     scores_to_csv([vector], args.out or sys.stdout)
     return 0
 

@@ -1,10 +1,14 @@
 """Experiment operations over scenarios.
 
-Each operation runs the scenario's federation once per repeat (seeds
-derived from the master seed), scores the transcripts, and returns its
-bundle tables as (name, header, rows) triples, each header declared next
-to the code that builds its rows.  Heavier invariants are enforced
-inline on every run:
+Each operation scores federations, one per repeat (seeds derived from
+the master seed), and returns its bundle tables as (name, header, rows)
+triples, each header declared next to the code that builds its rows.
+Rank fidelity, a round ablation, influence and manipulation score the
+base federations they are handed (``run_repeats``, trained once per
+bundle); weighted aggregation, misbehavior and an n_clients or mu
+ablation train their own.  Every (method, repeat) pair is scored by
+:func:`method_scores` over a window of rounds.  Heavier invariants are
+enforced inline on every run:
 
 - scoring a round through RoundUtilities must cost exactly 2N+2 model
   evaluations, and every exact Shapley, each MR-SV round game and each
@@ -36,7 +40,6 @@ from ..metrics import (
 from ..protocol import MisreportStrategy, influence_matrix, manipulation_sweep
 from ..scoring import (
     cos_accumulated,
-    cos_score,
     ee,
     fp,
     ioi,
@@ -82,11 +85,14 @@ class RepeatContext:
     """
 
     repeat: int
-    seed: int
     config: object
     transcripts: tuple
     evaluator: ModelEvaluator
     cache: dict = dataclasses.field(default_factory=dict, compare=False)
+
+    @property
+    def seed(self):
+        return self.config.seed
 
 
 def run_repeats(scenario):
@@ -96,7 +102,6 @@ def run_repeats(scenario):
     return [
         RepeatContext(
             repeat=repeat,
-            seed=seed,
             config=dataclasses.replace(scenario.federation, seed=seed),
             transcripts=tuple(transcripts),
             evaluator=model_eval_oracle(test, scenario.federation.utility_kind),
@@ -107,52 +112,47 @@ def run_repeats(scenario):
     ]
 
 
-def audited_round_utilities(transcript, evaluator):
-    """RoundUtilities plus proof that they cost exactly 2N+2 evaluations."""
-    n = transcript.n_clients
-    before = evaluator.call_count
-    utilities = utilities_from_transcript(transcript, evaluator)
-    used = evaluator.call_count - before
-    if used != 2 * n + 2:
-        raise ExperimentError(
-            f"scoring cost audit failed: {used} model evaluations for "
-            f"{n} clients, expected {2 * n + 2}"
-        )
-    return utilities
-
-
 def round_utilities(ctx, rnd):
-    """Round rnd's audited 2N+2 utilities, extracted once per context."""
+    """Round rnd's 2N+2 utilities, extracted once per context and proven
+    to have cost exactly 2N+2 evaluations."""
     key = ("utilities", rnd)
     if key not in ctx.cache:
-        ctx.cache[key] = audited_round_utilities(
-            ctx.transcripts[rnd - 1], ctx.evaluator
-        )
+        transcript = ctx.transcripts[rnd - 1]
+        n = transcript.n_clients
+        before = ctx.evaluator.call_count
+        utilities = utilities_from_transcript(transcript, ctx.evaluator)
+        used = ctx.evaluator.call_count - before
+        if used != 2 * n + 2:
+            raise ExperimentError(
+                f"scoring cost audit failed: {used} model evaluations for "
+                f"{n} clients, expected {2 * n + 2}"
+            )
+        ctx.cache[key] = utilities
     return ctx.cache[key]
 
 
-def _missing_games(ctx, method, horizon):
-    """(cache key, game) for each exact-Shapley game a reference still
-    needs: MR-SV's round games of rounds 1..horizon, cached per round so
-    horizons share them, or SV's horizon-round retraining game."""
+def _missing_games(ctx, method, rounds):
+    """(cache key, game) for each exact-Shapley game a reference over the
+    window ``rounds`` still needs: MR-SV's round games, cached per round
+    so windows share them, or SV's retraining game of rounds 1 through
+    the window's last."""
     if method == "MR-SV":
-        rounds = [r for r in range(1, horizon + 1) if ("MR-SV", r) not in ctx.cache]
-        if not rounds:
+        todo = [r for r in rounds if ("MR-SV", r) not in ctx.cache]
+        if not todo:
             return []
         games = mr_shapley_games(
-            [ctx.transcripts[r - 1] for r in rounds], ctx.evaluator
+            [ctx.transcripts[r - 1] for r in todo], ctx.evaluator
         )
-        return [(("MR-SV", r), game) for r, game in zip(rounds, games)]
-    if method == "SV" and ("SV", horizon) not in ctx.cache:
-        config = dataclasses.replace(ctx.config, rounds=horizon)
-        return [(("SV", horizon), RetrainingGame(config).oracle())]
+        return [(("MR-SV", r), game) for r, game in zip(todo, games)]
+    if method == "SV" and ("SV", rounds[-1]) not in ctx.cache:
+        config = dataclasses.replace(ctx.config, rounds=rounds[-1])
+        return [(("SV", rounds[-1]), RetrainingGame(config).oracle())]
     return []
 
 
-def _tabulate_references(contexts, methods, horizon):
-    """Cache every context's MR-SV rows of rounds 1..horizon and SV at
-    this horizon, for the methods among ``methods``, unless cached
-    already.
+def _tabulate_references(contexts, methods, rounds):
+    """Cache every context's MR-SV rows and SV over the window ``rounds``,
+    for the methods among ``methods``, unless cached already.
 
     The games are built context by context in method order, and all are
     solved in one :func:`shapley_exact_all` call, so they run on worker
@@ -162,7 +162,7 @@ def _tabulate_references(contexts, methods, horizon):
         (ctx, key, game)
         for ctx in contexts
         for method in dict.fromkeys(methods)
-        for key, game in _missing_games(ctx, method, horizon)
+        for key, game in _missing_games(ctx, method, rounds)
     ]
     vectors = shapley_exact_all([game for *_, game in todo])
     for (ctx, key, _), vector in zip(todo, vectors):
@@ -178,37 +178,39 @@ def _utility_rule(method):
     return {"LOO": loo, "IOI": ioi, "FP": fp, "EE": ee}.get(method)
 
 
-def method_scores(method, ctx, eval_round, horizon):
+def method_scores(method, ctx, eval_round, rounds):
     """One repeat's ScoreVector for a method label.
 
-    LOO, IOI, FP and EE score round eval_round from its 2N+2 utilities;
-    COS sums the per-round scores of rounds 1..horizon.  MR-SV averages
-    the rows of rounds 1..horizon that ``ctx.cache`` holds under
-    ``("MR-SV", round)``; SV is the horizon-round retraining game's exact
-    Shapley value, held under ``("SV", horizon)``.  ``_tabulate_references``
-    solves only what the components did not tabulate up front.
+    LOO, IOI, FP and EE score round eval_round from its 2N+2 utilities.
+    The others cover ``rounds``, a window of consecutive rounds: COS sums
+    their per-round scores and MR-SV averages their rows, which
+    ``ctx.cache`` holds under ``("MR-SV", round)``; SV is the exact
+    Shapley value of the game that retrains rounds 1 through the
+    window's last, held under ``("SV", rounds[-1])``.
+    ``_tabulate_references`` solves only what the components did not
+    tabulate up front.
     """
     rule = _utility_rule(method)
     if rule is not None:
         vector = rule(round_utilities(ctx, eval_round))
         return dataclasses.replace(vector, round=eval_round)
     if method == "COS":
-        return cos_accumulated(ctx.transcripts[:horizon])
+        return cos_accumulated([ctx.transcripts[r - 1] for r in rounds])
     if method not in ("MR-SV", "SV"):
         raise ExperimentError(f"unknown method {method!r}")
-    _tabulate_references([ctx], [method], horizon)
+    _tabulate_references([ctx], [method], rounds)
     if method == "MR-SV":
-        rows = [ctx.cache[("MR-SV", r)] for r in range(1, horizon + 1)]
-        scores = np.array(rows).mean(axis=0)
+        scores = np.array([ctx.cache[("MR-SV", r)] for r in rounds]).mean(axis=0)
     else:
-        scores = ctx.cache[("SV", horizon)]
-    return ScoreVector(method, scores, round=horizon)
+        scores = ctx.cache[("SV", rounds[-1])]
+    return ScoreVector(method, scores, round=rounds[-1])
 
 
-def _horizon(scenario):
+def _reference_rounds(scenario):
+    """The window the reference covers: rounds 1..R or 1..eval_round."""
     if scenario.reference_rounds == "all":
-        return scenario.federation.rounds
-    return scenario.eval_round
+        return range(1, scenario.federation.rounds + 1)
+    return range(1, scenario.eval_round + 1)
 
 
 def _block(scenario, kind):
@@ -231,24 +233,21 @@ def _summarize(methods, per_repeat):
     ]
 
 
-def rank_fidelity(scenario, contexts=None):
-    """Score every repeat at the eval round and compare to the reference.
+def rank_fidelity(scenario, contexts):
+    """Score every repeat's context at the eval round and compare to the
+    reference.
 
     Per method, rank_fidelity holds each metric's mean and sample
     variance across repeats; rank_fidelity_per_seed keeps every repeat.
-    contexts lets the round-axis ablation reuse one set of trained
-    federations; when omitted the federations are trained here.
     """
-    if contexts is None:
-        contexts = run_repeats(scenario)
-    horizon = _horizon(scenario)
+    rounds = _reference_rounds(scenario)
     reference = REFERENCE_METHODS[scenario.reference]
-    _tabulate_references(contexts, (reference, *scenario.methods), horizon)
+    _tabulate_references(contexts, (reference, *scenario.methods), rounds)
     per_repeat = []
     for ctx in contexts:
-        ref = method_scores(reference, ctx, scenario.eval_round, horizon).scores
+        ref = method_scores(reference, ctx, scenario.eval_round, rounds).scores
         for method in scenario.methods:
-            vec = method_scores(method, ctx, scenario.eval_round, horizon).scores
+            vec = method_scores(method, ctx, scenario.eval_round, rounds).scores
             corr = rank_correlation(vec, ref)
             per_repeat.append((
                 ctx.repeat,
@@ -267,12 +266,12 @@ def rank_fidelity(scenario, contexts=None):
     ]
 
 
-def ablation(scenario, contexts=None):
+def ablation(scenario, contexts):
     """Repeat rank_fidelity along the scenario's ablation axis.
 
-    Axis "round" re-scores one set of trained federations at each round,
-    reusing contexts when given; "n_clients" and "mu" change the
-    federation, so they retrain per value and ignore contexts.
+    Axis "round" re-scores the base federations ``contexts`` at each
+    round; "n_clients" and "mu" change the federation, so they train
+    each value's own and ignore contexts.
     """
     block = scenario.ablation
     if block is None:
@@ -280,17 +279,15 @@ def ablation(scenario, contexts=None):
     # The variants only feed rank_fidelity; the blocks were checked
     # against the scenario's own federation, not the varied one.
     base = dataclasses.replace(scenario, ablation=None, downstream=())
-    if block.axis == "round" and contexts is None:
-        contexts = run_repeats(base)
     rows = []
     for value in block.values:
         if block.axis == "round":
             variant = dataclasses.replace(base, eval_round=int(value))
-            shared = contexts
         else:
-            field = ABLATION_FIELDS[block.axis]
-            variant, shared = scenario_with(base, **{field: value}), None
-        (_, header, summary), _ = rank_fidelity(variant, shared)
+            variant = scenario_with(base, **{ABLATION_FIELDS[block.axis]: value})
+        (_, header, summary), _ = rank_fidelity(
+            variant, contexts if block.axis == "round" else run_repeats(variant)
+        )
         rows += [(block.axis, value) + row for row in summary]
     return [("ablation", ("axis", "value") + header, rows)]
 
@@ -315,26 +312,19 @@ def _weighted_model(transcript, weights):
     return ModelParams(transcript.m0.values + np.sum(deltas, axis=0))
 
 
-def _round_scores(method, ctx, t):
-    """Round t's own scores for the weighting pipeline: a single-round
-    rule on round t's utilities, COS of round t, or the MR-SV row that
-    ``ctx.cache`` holds under ``("MR-SV", t.round)``."""
-    rule = _utility_rule(method)
-    if rule is not None:
-        return rule(round_utilities(ctx, t.round)).scores
-    if method == "COS":
-        return cos_score(t).scores
-    return ctx.cache[("MR-SV", t.round)]
-
-
-def _relabeled(scenario, rates):
-    """IID copy of the scenario in which client i flips labels at
-    rates[i].  The ablation is dropped: it was checked against the
-    scenario's own federation, and an n_clients value would not fit the
-    per-client rates."""
-    return scenario_with(
+def _relabeled(scenario, rates, rounds):
+    """The federations of an IID copy of the scenario in which client i
+    flips labels at rates[i], the scenario's methods other than SV, and
+    their references over the window ``rounds``, tabulated.  The
+    ablation is dropped: it was checked against the scenario's own
+    federation, and an n_clients value would not fit the per-client
+    rates."""
+    contexts = run_repeats(scenario_with(
         dataclasses.replace(scenario, ablation=None), iid=True, noise_rates=rates
-    )
+    ))
+    methods = tuple(m for m in scenario.methods if m != "SV")
+    _tabulate_references(contexts, methods, rounds)
+    return contexts, methods
 
 
 def weighted_aggregation(scenario):
@@ -354,9 +344,7 @@ def weighted_aggregation(scenario):
     n = scenario.federation.n_clients
     rounds = scenario.federation.rounds
     rates = block.rates if block.rates is not None else linear_rates(n)
-    contexts = run_repeats(_relabeled(scenario, rates))
-    methods = tuple(m for m in scenario.methods if m != "SV")
-    _tabulate_references(contexts, methods, rounds)
+    contexts, methods = _relabeled(scenario, rates, range(1, rounds + 1))
 
     curves = []
     flagged = []
@@ -372,7 +360,8 @@ def weighted_aggregation(scenario):
                     f"{t.round}"
                 )
             for method in methods:
-                raw = _round_scores(method, ctx, t)
+                window = range(t.round, t.round + 1)
+                raw = method_scores(method, ctx, t.round, window).scores
                 history[method].append(normalize_scores(raw).scores)
                 if block.weight_mode == "cumulative":
                     basis = np.mean(history[method], axis=0)
@@ -428,15 +417,13 @@ def misbehavior(scenario):
     rates = tuple(
         block.rate if i == block.attacker else 0.0 for i in range(n)
     )
-    contexts = run_repeats(_relabeled(scenario, rates))
-
-    methods = tuple(m for m in scenario.methods if m != "SV")
-    _tabulate_references(contexts, methods, eval_round)
+    window = range(1, eval_round + 1)
+    contexts, methods = _relabeled(scenario, rates, window)
     score_runs = {m: [] for m in methods}
     per_repeat = []
     for ctx in contexts:
         for method in methods:
-            vec = method_scores(method, ctx, eval_round, eval_round).scores
+            vec = method_scores(method, ctx, eval_round, window).scores
             score_runs[method].append(vec)
             detected = int(np.argmin(vec)) == block.attacker
             per_repeat.append((
@@ -465,14 +452,12 @@ def misbehavior(scenario):
     ]
 
 
-def influence_summary(scenario, contexts=None):
-    """Influence matrices at the influence block's round, averaged across
-    repeats; the diagonal is exactly zero.  influence_flagged lists each
-    repeat's degenerate columns."""
+def influence_summary(scenario, contexts):
+    """Influence matrices of the contexts at the influence block's round,
+    averaged across repeats; the diagonal is exactly zero.
+    influence_flagged lists each repeat's degenerate columns."""
     block = _block(scenario, InfluenceBlock) or InfluenceBlock()
     rnd = block.round if block.round is not None else scenario.eval_round
-    if contexts is None:
-        contexts = run_repeats(scenario)
     n = scenario.federation.n_clients
     total = np.zeros((n, n))
     flagged = []
@@ -497,13 +482,11 @@ _SWEEP_KINDS = (
 )
 
 
-def manipulation_summary(scenario, contexts=None):
-    """Standard misreport sweep at the eval round, every client as the
-    attacker in turn, aggregated over repeats and targets.  The EE rows'
-    numerator column must be exactly zero; that is the
+def manipulation_summary(scenario, contexts):
+    """Standard misreport sweep of the contexts at the eval round, every
+    client as the attacker in turn, aggregated over repeats and targets.
+    The EE rows' numerator column must be exactly zero; that is the
     manipulation-resistance claim in table form."""
-    if contexts is None:
-        contexts = run_repeats(scenario)
     n = scenario.federation.n_clients
     strategies = [
         MisreportStrategy(kind=kind, target=i, value=value)

@@ -33,7 +33,7 @@ from .federation import (
     FederationError,
     RoundTranscript,
 )
-from .mlp import ModelParams
+from .mlp import ModelError, ModelParams
 
 _FORMAT_VERSION = 1
 _MANIFEST_KEYS = ("n_clients", "dim", "rounds", "config_sha256", "files")
@@ -122,26 +122,34 @@ def _round_blob(transcript: RoundTranscript) -> bytes:
     return b"".join(parts)
 
 
-def _parse_round_blob(blob: bytes, round_index: int, n_clients: int) -> RoundTranscript:
+def _parse_round_blob(
+    blob: bytes, name: str, round_index: int, n_clients: int, dim: int
+) -> RoundTranscript:
+    """Round ``round_index`` from the blob of file ``name``, whose header
+    must give the manifest's ``dim``; any fault raises ArchiveError
+    naming the file."""
     if len(blob) < 4:
-        raise ArchiveError(f"round {round_index}: blob too short for a header")
-    dim = int(np.frombuffer(blob[:4], dtype="<u4")[0])
+        raise ArchiveError(f"{name}: blob too short for a header")
+    header = int(np.frombuffer(blob[:4], dtype="<u4")[0])
+    if header != dim:
+        raise ArchiveError(f"{name}: dim {header} disagrees with manifest dim {dim}")
     expected = 4 + 8 * dim * (n_clients + 2)
     if len(blob) != expected:
         raise ArchiveError(
-            f"round {round_index}: blob holds {len(blob)} bytes, expected "
+            f"{name}: blob holds {len(blob)} bytes, expected "
             f"{expected} for dim={dim} and {n_clients} clients"
         )
     flat = np.frombuffer(blob[4:], dtype="<f8").reshape(n_clients + 2, dim)
-    m0 = ModelParams(flat[0])
-    updates = tuple(
-        ClientUpdate(client=i, delta=ModelParams(flat[1 + i])) for i in range(n_clients)
-    )
-    m = ModelParams(flat[n_clients + 1])
     try:
+        m0 = ModelParams(flat[0])
+        updates = tuple(
+            ClientUpdate(client=i, delta=ModelParams(flat[1 + i]))
+            for i in range(n_clients)
+        )
+        m = ModelParams(flat[n_clients + 1])
         return RoundTranscript(round=round_index, m0=m0, updates=updates, m=m)
-    except FederationError as exc:
-        raise ArchiveError(f"round {round_index}: {exc}") from exc
+    except (ModelError, FederationError) as exc:
+        raise ArchiveError(f"{name}: {exc}") from exc
 
 
 def _round_name(index: int) -> str:
@@ -293,12 +301,8 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
         blob = _read_member(dirpath, "rounds", name)
         if hashlib.sha256(blob).hexdigest() != manifest["files"][name]:
             raise ArchiveError(f"{name} does not match its manifest checksum")
-        transcript = _parse_round_blob(blob, t, config.n_clients)
-        if transcript.dim != manifest["dim"]:
-            raise ArchiveError(
-                f"{name}: dim {transcript.dim} disagrees with manifest "
-                f"dim {manifest['dim']}"
-            )
-        transcripts.append(transcript)
+        transcripts.append(
+            _parse_round_blob(blob, name, t, config.n_clients, manifest["dim"])
+        )
     return config, transcripts
 

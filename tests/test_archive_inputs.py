@@ -4,8 +4,10 @@ Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
 config.  Each ``config.json`` field must be there with its JSON type, so
-a bad one is named instead of loading and failing later.  A file the manifest relies on but the directory lacks names
-that file.  A save that fails part-way leaves no archive that loads.
+a bad one is named instead of loading and failing later.  A file the
+manifest relies on but the directory lacks names that file, and so does a
+round file whose checksum matches but whose contents do not parse.  A
+save that fails part-way leaves no archive that loads.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fedscore.fedsim import ArchiveError, load_transcripts, save_transcripts
@@ -113,6 +116,51 @@ def test_missing_round_named(archive):
     (archive / "rounds" / "round_0002.bin").unlink()
     with pytest.raises(ArchiveError, match="rounds/round_0002.bin: cannot read"):
         load_transcripts(archive)
+
+
+def _rewrite_round(arc, name, blob):
+    """Replace a round file and its manifest checksum, so only the blob
+    itself is wrong."""
+    (arc / "rounds" / name).write_bytes(blob)
+    manifest = json.loads((arc / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256(blob).hexdigest()
+    (arc / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _nan_start_model(blob):
+    return blob[:4] + np.array([np.nan], dtype="<f8").tobytes() + blob[12:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_nan_start_model,
+                 "round_0001.bin: parameters contain non-finite values", id="nan"),
+    pytest.param(lambda blob: bytes(4),
+                 "round_0001.bin: dim 0 disagrees with manifest dim", id="dim-0"),
+    pytest.param(lambda blob: blob[:2],
+                 "round_0001.bin: blob too short for a header", id="no-header"),
+    pytest.param(lambda blob: blob[:-8],
+                 "round_0001.bin: blob holds", id="truncated"),
+])
+def test_damaged_round_is_named(archive, damage, message):
+    blob = (archive / "rounds" / "round_0001.bin").read_bytes()
+    _rewrite_round(archive, "round_0001.bin", damage(blob))
+    with pytest.raises(ArchiveError, match=re.escape(message)):
+        load_transcripts(archive)
+
+
+def test_cli_names_the_damaged_round(archive):
+    blob = (archive / "rounds" / "round_0001.bin").read_bytes()
+    _rewrite_round(archive, "round_0001.bin", _nan_start_model(blob))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedscore", "score", str(archive), "--method", "loo"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "fedscore: error: round_0001.bin: parameters contain non-finite values\n"
+    )
 
 
 def test_valid_fields_still_load(archive, tiny_run):

@@ -43,7 +43,6 @@ from fedscore.experiments import (
     ScenarioError,
     WeightedBlock,
     ablation,
-    audited_round_utilities,
     derive_seeds,
     influence_summary,
     manipulation_summary,
@@ -410,13 +409,14 @@ class TestRunRepeats:
         sc = tiny_scenario()
         ctx = run_repeats(sc)[0]
         before = ctx.evaluator.call_count
-        audited_round_utilities(ctx.transcripts[-1], ctx.evaluator)
+        runs.round_utilities(ctx, len(ctx.transcripts))
         assert ctx.evaluator.call_count - before == 2 * 3 + 2
 
 
 @pytest.fixture(scope="module")
 def fidelity_result():
-    return table_rows(rank_fidelity(tiny_scenario()))
+    sc = tiny_scenario()
+    return table_rows(rank_fidelity(sc, run_repeats(sc)))
 
 
 class TestRankFidelity:
@@ -474,7 +474,8 @@ class TestScoringCache:
                 super().__init__(config)
 
         monkeypatch.setattr(runs, "RetrainingGame", CountingGame)
-        per_seed = table_rows(rank_fidelity(sc))["rank_fidelity_per_seed"]
+        per_seed = table_rows(rank_fidelity(sc, run_repeats(sc)))[
+            "rank_fidelity_per_seed"]
         assert built == derive_seeds(sc.master_seed, sc.repeats)
         for row in per_seed:
             if row[2] == "SV":
@@ -496,14 +497,15 @@ class TestScoringCache:
             return real(oracles)
 
         monkeypatch.setattr(runs, "shapley_exact_all", counting)
-        rows = table_rows(ablation(sc))["ablation"]
+        rows = table_rows(ablation(sc, run_repeats(sc)))["ablation"]
         # 2 repeats x (rounds 1-2, then rounds 3-4); 12 games if each
         # horizon solved its own rounds
         assert [k for k in solved if k] == [4, 4]
         # each value's rows equal a fidelity pass on fresh federations
         for value in (2, 4):
             fresh = dataclasses.replace(sc, eval_round=value, ablation=None)
-            plain = table_rows(rank_fidelity(fresh))["rank_fidelity"]
+            plain = table_rows(rank_fidelity(fresh, run_repeats(fresh)))[
+                "rank_fidelity"]
             assert [r[2:] for r in rows if r[1] == value] == plain
 
 
@@ -527,12 +529,12 @@ class TestAblation:
         # client axis feeds rank fidelity and must not trip their check.
         sc = tiny_scenario("\n[ablation]\naxis = n_clients\nvalues = 2\n"
                            "\n[downstream.weighted]\nrates = 0.0, 0.5, 1.0\n")
-        rows = table_rows(ablation(sc))["ablation"]
+        rows = table_rows(ablation(sc, None))["ablation"]
         assert {(r[0], r[1]) for r in rows} == {("n_clients", 2)}
 
     def test_missing_block_rejected(self):
         with pytest.raises(ExperimentError):
-            ablation(tiny_scenario())
+            ablation(tiny_scenario(), None)
 
 
 class TestWeights:
@@ -775,7 +777,7 @@ class TestExecutionOrder:
         expected = tmp_path / "expected"
         for tables in (
             rank_fidelity(sc, contexts),
-            ablation(sc),
+            ablation(sc, contexts),
             weighted_aggregation(sc),
             misbehavior(sc),
             influence_summary(sc, contexts),
@@ -792,6 +794,21 @@ class TestExecutionOrder:
             "rank_fidelity", "ablation", "weighted_aggregation",
             "misbehavior", "influence", "manipulation",
         ]
+
+
+def _overcounting(real):
+    def utilities(transcript, evaluator):
+        found = real(transcript, evaluator)
+        evaluator.add_calls(1)  # one row more than the probe set
+        return found
+    return utilities
+
+
+def _off_by_one_ulp(real):
+    def weighted(transcript, weights):
+        return fedsim.ModelParams(
+            np.nextafter(real(transcript, weights).values, np.inf))
+    return weighted
 
 
 class TestBundleReplacement:
@@ -823,6 +840,24 @@ class TestBundleReplacement:
             verify_bundle(str(out))
         assert sorted(os.listdir(out)) == ["notes.txt"]
         assert sorted(os.listdir(tmp_path)) == ["out", "tiny.scenario"]
+
+    @pytest.mark.parametrize("name, broken, message", [
+        ("utilities_from_transcript", _overcounting,
+         "scoring cost audit failed: 9 model evaluations for 3 clients, "
+         "expected 8"),
+        ("_weighted_model", _off_by_one_ulp,
+         "uniform weights failed to reproduce FedAvg in round 1"),
+    ])
+    def test_failed_invariant_leaves_nothing_that_verifies(
+        self, tmp_path, monkeypatch, name, broken, message
+    ):
+        path, out = self.old_bundle(tmp_path)
+        monkeypatch.setattr(runs, name, broken(getattr(runs, name)))
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            run_scenario(str(path), out_dir=str(out))
+        with pytest.raises(FileNotFoundError):
+            verify_bundle(str(out))
+        assert sorted(os.listdir(out)) == ["notes.txt"]
 
     def test_refused_seed_leaves_the_older_bundle(self, tmp_path):
         path, out = self.old_bundle(tmp_path)
@@ -860,8 +895,10 @@ class TestWriteTable:
 
 
 class TestCli:
-    def _run(self, *args, env=None, stdout=subprocess.PIPE):
-        # Run the CLI as a module so the tests need no installed script.
+    def _run(self, *args, env=None, stdout=subprocess.PIPE,
+             python=("-m", "fedscore")):
+        # Run the CLI as a module so the tests need no installed script;
+        # ``python`` holds the interpreter's own arguments.
         full_env = dict(os.environ)
         full_env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC, full_env.get("PYTHONPATH")) if p
@@ -869,9 +906,37 @@ class TestCli:
         if env:
             full_env.update(env)
         return subprocess.run(
-            [sys.executable, "-m", "fedscore", *args],
+            [sys.executable, *python, *args],
             stdout=stdout, stderr=subprocess.PIPE, text=True, env=full_env,
         )
+
+    def test_import_loads_no_process_pool_or_scipy(self):
+        # Every benchmark workload times two fresh imports of the CLI; the
+        # worker pool's modules load only when a pool starts.
+        proc = self._run(python=("-c", (
+            "import sys, fedscore.experiments.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'concurrent', 'multiprocessing', 'scipy'}))")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("damage, named", [
+        pytest.param(lambda recorded: "[]", "checksums.json", id="list"),
+        pytest.param(lambda recorded: "{", "checksums.json", id="not-json"),
+        pytest.param(lambda recorded: json.dumps({**recorded, "tables": "00"}),
+                     "tables", id="directory"),
+    ])
+    def test_report_names_a_malformed_manifest(self, bundle, damage, named):
+        manifest = bundle / "checksums.json"
+        original = manifest.read_bytes()
+        manifest.write_text(damage(json.loads(original)))
+        try:
+            assert verify_bundle(str(bundle)) == [named]
+            report = self._run("report", str(bundle))
+        finally:
+            manifest.write_bytes(original)
+        assert report.returncode == 1
+        assert report.stderr == f"fedscore: checksum mismatch: {named}\n"
 
     def test_game_shapley(self, tmp_path):
         path = tmp_path / "additive.game"
