@@ -84,29 +84,31 @@ _ENTRIES = ("checksums.json", "run.json", "seeds.json", "scenario.snapshot", "ta
 
 
 # Per block type: its run.json name, whether it scores the base
-# federations (given the block), and how it runs.  Each call looks its
+# federations (given the block), and how it runs the block.  This is the
+# one place that maps block types to components.  Each call looks its
 # component up by module-level name when it runs, so a rebound name (a
 # tracer's wrapper) is the one called.
 _BLOCKS = {
     AblationBlock: (
         "ablation", lambda block: block.axis == "round",
-        lambda scenario, contexts: ablation(scenario, contexts),
+        lambda scenario, block, contexts: ablation(scenario, block, contexts),
     ),
     WeightedBlock: (
         "weighted_aggregation", lambda block: False,
-        lambda scenario, _: weighted_aggregation(scenario),
+        lambda scenario, block, _: weighted_aggregation(scenario, block),
     ),
     MisbehaviorBlock: (
         "misbehavior", lambda block: False,
-        lambda scenario, _: misbehavior(scenario),
+        lambda scenario, block, _: misbehavior(scenario, block),
     ),
     InfluenceBlock: (
         "influence", lambda block: True,
-        lambda scenario, contexts: influence_summary(scenario, contexts),
+        lambda scenario, block, contexts: influence_summary(
+            scenario, block, contexts),
     ),
     ManipulationBlock: (
         "manipulation", lambda block: True,
-        lambda scenario, contexts: manipulation_summary(scenario, contexts),
+        lambda scenario, _, contexts: manipulation_summary(scenario, contexts),
     ),
 }
 
@@ -146,19 +148,19 @@ def _write_bundle(path, scenario, out_dir):
     os.makedirs(tables_dir)
 
     components = [(
-        "rank_fidelity", True,
-        lambda scenario, contexts: rank_fidelity(scenario, contexts),
+        "rank_fidelity", True, None,
+        lambda scenario, _, contexts: rank_fidelity(scenario, contexts),
     )]
     for block in (scenario.ablation, *scenario.downstream):
         if block is not None:
             name, reads_base, run = _BLOCKS[type(block)]
-            components.append((name, reads_base(block), run))
+            components.append((name, reads_base(block), block, run))
     contexts = run_repeats(scenario)
     files = []
     for base in (True, False):
-        for _, reads_base, run in components:
+        for _, reads_base, block, run in components:
             if reads_base == base:
-                for name, header, rows in run(scenario, contexts):
+                for name, header, rows in run(scenario, block, contexts):
                     files += write_table(tables_dir, name, header, rows)
         contexts = None  # frees the base federations and their caches
 

@@ -3,12 +3,14 @@
 Each operation scores federations, one per repeat (seeds derived from
 the master seed), and returns its bundle tables as (name, header, rows)
 triples, each header declared next to the code that builds its rows.
-Rank fidelity, a round ablation, influence and manipulation score the
-base federations they are handed (``run_repeats``, trained once per
-bundle); weighted aggregation, misbehavior and an n_clients or mu
-ablation train their own.  Every (method, repeat) pair is scored by
-:func:`method_scores` over a window of rounds.  Heavier invariants are
-enforced inline on every run:
+An operation that runs a scenario block takes that block; only
+``bundle.run_scenario`` maps block types to operations.  Rank fidelity,
+a round ablation, influence and manipulation score the base federations
+they are handed (``run_repeats``, trained once per bundle); weighted
+aggregation, misbehavior and an n_clients or mu ablation train their
+own.  Every (method, repeat) pair is scored by :func:`method_scores`
+over a window of rounds.  Heavier invariants are enforced inline on
+every run:
 
 - scoring a round through RoundUtilities must cost exactly 2N+2 model
   evaluations, and every exact Shapley, each MR-SV round game and each
@@ -50,9 +52,6 @@ from ..scoring import (
 from .scenario import (
     ABLATION_FIELDS,
     REFERENCE_METHODS,
-    InfluenceBlock,
-    MisbehaviorBlock,
-    WeightedBlock,
     linear_rates,
     scenario_with,
 )
@@ -213,11 +212,6 @@ def _reference_rounds(scenario):
     return range(1, scenario.eval_round + 1)
 
 
-def _block(scenario, kind):
-    """The scenario's downstream block of this type, or None."""
-    return next((b for b in scenario.downstream if isinstance(b, kind)), None)
-
-
 def _mean_var(values):
     """Mean and sample variance (0.0 for one value), in list order."""
     vals = np.array(values)
@@ -266,16 +260,13 @@ def rank_fidelity(scenario, contexts):
     ]
 
 
-def ablation(scenario, contexts):
-    """Repeat rank_fidelity along the scenario's ablation axis.
+def ablation(scenario, block, contexts):
+    """Repeat rank_fidelity along the ablation block's axis.
 
     Axis "round" re-scores the base federations ``contexts`` at each
     round; "n_clients" and "mu" change the federation, so they train
     each value's own and ignore contexts.
     """
-    block = scenario.ablation
-    if block is None:
-        raise ExperimentError("scenario has no ablation block")
     # The variants only feed rank_fidelity; the blocks were checked
     # against the scenario's own federation, not the varied one.
     base = dataclasses.replace(scenario, ablation=None, downstream=())
@@ -327,20 +318,18 @@ def _relabeled(scenario, rates, rounds):
     return contexts, methods
 
 
-def weighted_aggregation(scenario):
+def weighted_aggregation(scenario, block):
     """Per-round score-weighted aggregates evaluated by negative test loss.
 
     All methods share one plain FedAvg training run per repeat; weighting
     happens only at a side aggregation step, so curves isolate the effect
     of the weights.  The run self-checks that uniform weights reproduce
     the transcript's aggregate bit-exactly.  Settings come from the
-    scenario's weighted block, or its defaults when there is none.
-    weighted_flagged lists the (repeat, round, method) whose weights
-    degenerated to uniform.  weighted_curves_mean and, at the last round,
-    weighted_summary read one grouping of weighted_curves by (round,
-    method), each list in repeat order.
+    weighted block.  weighted_flagged lists the (repeat, round, method)
+    whose weights degenerated to uniform.  weighted_curves_mean and, at
+    the last round, weighted_summary read one grouping of weighted_curves
+    by (round, method), each list in repeat order.
     """
-    block = _block(scenario, WeightedBlock) or WeightedBlock()
     n = scenario.federation.n_clients
     rounds = scenario.federation.rounds
     rates = block.rates if block.rates is not None else linear_rates(n)
@@ -402,14 +391,11 @@ def weighted_aggregation(scenario):
     ]
 
 
-def misbehavior(scenario):
+def misbehavior(scenario, block):
     """IID federation with the misbehavior block's label-flipping
     attacker; per method, how often the attacker lands strictly lowest
     (ties break low, so a tie at index 0 counts only for attacker 0),
     with box statistics of its normalized score across repeats."""
-    block = _block(scenario, MisbehaviorBlock)
-    if block is None:
-        raise ExperimentError("scenario has no misbehavior block")
     n = scenario.federation.n_clients
     eval_round = (
         block.eval_round if block.eval_round is not None else scenario.eval_round
@@ -452,11 +438,10 @@ def misbehavior(scenario):
     ]
 
 
-def influence_summary(scenario, contexts):
+def influence_summary(scenario, block, contexts):
     """Influence matrices of the contexts at the influence block's round,
     averaged across repeats; the diagonal is exactly zero.
     influence_flagged lists each repeat's degenerate columns."""
-    block = _block(scenario, InfluenceBlock) or InfluenceBlock()
     rnd = block.round if block.round is not None else scenario.eval_round
     n = scenario.federation.n_clients
     total = np.zeros((n, n))

@@ -11,8 +11,7 @@ An archive directory holds:
 * ``manifest.json``    -- shapes plus a SHA-256 per blob and for the config,
                          checked on load.
 
-Client ids in an archive are implicitly 0..N-1, matching full-federation
-transcripts.
+A transcript's k-th update is client k's, so client ids are implicit.
 """
 
 from __future__ import annotations
@@ -224,10 +223,10 @@ def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
     if [t.round for t in transcripts] != list(range(1, len(transcripts) + 1)):
         raise ArchiveError("transcripts must cover rounds 1..R in order")
     for t in transcripts:
-        members = [u.client for u in t.updates]
-        if members != list(range(config.n_clients)):
+        if t.n_clients != config.n_clients:
             raise ArchiveError(
-                "archives hold full-federation transcripts with clients 0..N-1"
+                f"round {t.round} has {t.n_clients} clients, the config has "
+                f"{config.n_clients}"
             )
 
     write_staged(dirpath, _ENTRIES, lambda staging: _write_archive(
@@ -275,7 +274,8 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
         raise ArchiveError("manifest.json: not a JSON object")
     if manifest.get("format_version") != _FORMAT_VERSION:
         raise ArchiveError(
-            f"unsupported archive format {manifest.get('format_version')!r}"
+            f"manifest.json: unsupported 'format_version' "
+            f"{manifest.get('format_version')!r}, expected {_FORMAT_VERSION}"
         )
     for key in _MANIFEST_KEYS:
         if key not in manifest:
@@ -291,13 +291,16 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
         raise ArchiveError(f"config.json: not valid JSON ({exc})") from None
     config = config_from_dict(raw)
     if config.n_clients != manifest["n_clients"]:
-        raise ArchiveError("manifest client count disagrees with the config")
+        raise ArchiveError(
+            f"manifest.json: 'n_clients' {manifest['n_clients']} disagrees "
+            f"with config.json n_clients {config.n_clients}"
+        )
 
     transcripts = []
     for t in range(1, manifest["rounds"] + 1):
         name = _round_name(t)
         if name not in manifest["files"]:
-            raise ArchiveError(f"manifest lists no checksum for {name}")
+            raise ArchiveError(f"manifest.json: 'files' has no checksum for {name}")
         blob = _read_member(dirpath, "rounds", name)
         if hashlib.sha256(blob).hexdigest() != manifest["files"][name]:
             raise ArchiveError(f"{name} does not match its manifest checksum")

@@ -150,7 +150,8 @@ class ClientUpdate:
 @dataclass(frozen=True)
 class RoundTranscript:
     """What the server knows after one round: start model, the scaled
-    updates, and the aggregate.  Validates m = m0 + sum(deltas)."""
+    updates (the k-th is client k's), and the aggregate.  Validates
+    m = m0 + sum(deltas)."""
 
     round: int
     m0: ModelParams
@@ -165,7 +166,12 @@ class RoundTranscript:
         updates = tuple(self.updates)
         object.__setattr__(self, "updates", updates)
         dim = self.m0.dim
-        for u in updates:
+        for k, u in enumerate(updates):
+            if u.client != k:
+                raise FederationError(
+                    f"update {k} is labelled client {u.client}; "
+                    f"a round's k-th update must be client k"
+                )
             if u.delta.dim != dim:
                 raise FederationError(
                     f"update of client {u.client} has dim {u.delta.dim}, "

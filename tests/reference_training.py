@@ -75,7 +75,8 @@ def sgd(arch, values, data, epochs, lr, batch_size, seed):
 
 def federate(config, members=None):
     """(transcripts, test set) of one federation over ``members`` (all
-    clients by default), every client trained by :func:`sgd` in turn."""
+    clients by default), every client trained by :func:`sgd` in turn.
+    A round's k-th update is the k-th member's, labelled k."""
     shards, test, arch, m_init = federation._prepare(config)
     members = range(config.n_clients) if members is None else members
     scale = 1.0 / len(members)
@@ -83,7 +84,7 @@ def federate(config, members=None):
     transcripts = []
     for t in range(1, config.rounds + 1):
         updates = []
-        for i in members:
+        for k, i in enumerate(members):
             try:
                 local = sgd(
                     arch, m0.values, shards[i],
@@ -97,7 +98,7 @@ def federate(config, members=None):
                     f"client {i} diverged in round {t}: {exc}", round=t
                 ) from exc
             delta = ModelParams((local - m0.values) * scale)
-            updates.append(ClientUpdate(client=i, delta=delta))
+            updates.append(ClientUpdate(client=k, delta=delta))
         m = ModelParams(m0.values + np.sum([u.delta.values for u in updates], axis=0))
         transcripts.append(RoundTranscript(round=t, m0=m0, updates=tuple(updates), m=m))
         m0 = m

@@ -3,13 +3,15 @@
 Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
-config.  Each ``config.json`` field must be there with its JSON type, so
+config; so do an unsupported format, a client count the config does not
+share and a round file the manifest has no checksum for.  Each ``config.json`` field must be there with its JSON type, so
 a bad one is named instead of loading and failing later.  A file the
 manifest relies on but the directory lacks names that file, and so does a
 round file whose checksum matches but whose contents do not parse.  A
 save that fails part-way leaves no archive that loads.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -104,6 +106,58 @@ def test_bad_config_field_is_named(archive, path, value, message):
     _set_config(archive, path, value)
     with pytest.raises(ArchiveError, match=re.escape(f"config.json: {message}")):
         load_transcripts(archive)
+
+
+def _drop_round_checksum(arc):
+    files = json.loads((arc / "manifest.json").read_text())["files"]
+    del files["round_0002.bin"]
+    _set_manifest(arc, "files", files)
+
+
+def _touch_config(arc):
+    (arc / "config.json").write_bytes((arc / "config.json").read_bytes() + b"\n")
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda arc: _set_manifest(arc, "format_version", 2),
+                 "manifest.json: unsupported 'format_version' 2, expected 1",
+                 id="format-version"),
+    pytest.param(_touch_config, "config.json does not match its manifest checksum",
+                 id="config-checksum"),
+    pytest.param(lambda arc: _set_manifest(arc, "n_clients", 4),
+                 "manifest.json: 'n_clients' 4 disagrees with config.json n_clients 3",
+                 id="client-count"),
+    pytest.param(_drop_round_checksum,
+                 "manifest.json: 'files' has no checksum for round_0002.bin",
+                 id="round-checksum-missing"),
+])
+def test_manifest_refusal_is_named(archive, damage, message):
+    damage(archive)
+    with pytest.raises(ArchiveError, match=re.escape(message)):
+        load_transcripts(archive)
+
+
+def test_cli_prints_the_manifest_refusal(archive):
+    _set_manifest(archive, "format_version", 2)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedscore", "score", str(archive), "--method", "loo"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "fedscore: error: manifest.json: unsupported 'format_version' 2, expected 1\n"
+    )
+
+
+def test_save_refuses_a_client_count_the_config_does_not_share(tiny_run, tmp_path):
+    config, transcripts, _ = tiny_run
+    wider = dataclasses.replace(config, n_clients=config.n_clients + 1)
+    with pytest.raises(ArchiveError, match=re.escape(
+            "round 1 has 3 clients, the config has 4")):
+        save_transcripts(tmp_path / "arc", wider, transcripts)
+    assert not (tmp_path / "arc").exists()
 
 
 def test_missing_config_named(archive):

@@ -39,6 +39,7 @@ from fedscore.experiments import runs
 from fedscore.experiments import (
     AblationBlock,
     ExperimentError,
+    InfluenceBlock,
     Scenario,
     ScenarioError,
     WeightedBlock,
@@ -457,7 +458,7 @@ class TestScoringCache:
         contexts = run_repeats(sc)
         rank_fidelity(sc, contexts)
         calls = [c.evaluator.call_count for c in contexts]
-        influence_summary(sc, contexts=contexts)
+        influence_summary(sc, InfluenceBlock(), contexts)
         manipulation_summary(sc, contexts=contexts)
         assert [c.evaluator.call_count for c in contexts] == calls
 
@@ -497,7 +498,7 @@ class TestScoringCache:
             return real(oracles)
 
         monkeypatch.setattr(runs, "shapley_exact_all", counting)
-        rows = table_rows(ablation(sc, run_repeats(sc)))["ablation"]
+        rows = table_rows(ablation(sc, sc.ablation, run_repeats(sc)))["ablation"]
         # 2 repeats x (rounds 1-2, then rounds 3-4); 12 games if each
         # horizon solved its own rounds
         assert [k for k in solved if k] == [4, 4]
@@ -514,7 +515,7 @@ class TestAblation:
         sc = tiny_scenario(
             "\n[ablation]\naxis = round\nvalues = 1, 2\n")
         contexts = run_repeats(sc)
-        rows = table_rows(ablation(sc, contexts=contexts))["ablation"]
+        rows = table_rows(ablation(sc, sc.ablation, contexts))["ablation"]
         values = sorted({row[1] for row in rows})
         assert values == [1, 2]
         # eval_round = 2 rows must equal a plain fidelity pass
@@ -529,12 +530,8 @@ class TestAblation:
         # client axis feeds rank fidelity and must not trip their check.
         sc = tiny_scenario("\n[ablation]\naxis = n_clients\nvalues = 2\n"
                            "\n[downstream.weighted]\nrates = 0.0, 0.5, 1.0\n")
-        rows = table_rows(ablation(sc, None))["ablation"]
+        rows = table_rows(ablation(sc, sc.ablation, None))["ablation"]
         assert {(r[0], r[1]) for r in rows} == {("n_clients", 2)}
-
-    def test_missing_block_rejected(self):
-        with pytest.raises(ExperimentError):
-            ablation(tiny_scenario(), None)
 
 
 class TestWeights:
@@ -555,7 +552,7 @@ class TestWeightedAggregation:
     def test_curves_and_summary(self):
         sc = tiny_scenario("\n[downstream.weighted]\nweight_mode = cumulative\n"
                            "rates = 0.0, 0.5, 1.0\n")
-        result = table_rows(weighted_aggregation(sc))
+        result = table_rows(weighted_aggregation(sc, *sc.downstream))
         curves = result["weighted_curves"]
         methods = {row[2] for row in curves}
         assert "FedAvg" in methods
@@ -593,7 +590,7 @@ class TestWeightedAggregation:
 class TestMisbehavior:
     def test_obvious_attacker_is_found(self):
         sc = tiny_scenario("\n[downstream.misbehavior]\nattacker = 0\nrate = 1.0\n")
-        result = table_rows(misbehavior(sc))
+        result = table_rows(misbehavior(sc, *sc.downstream))
         summary = result["misbehavior"]
         methods = [row[0] for row in summary]
         assert methods == ["LOO", "FP", "EE", "COS"]
@@ -607,7 +604,8 @@ class TestInfluenceAndManipulationSummaries:
     def test_influence_summary(self):
         sc = tiny_scenario("\n[downstream.influence]\n")
         contexts = run_repeats(sc)
-        rows = table_rows(influence_summary(sc, contexts=contexts))["influence"]
+        rows = table_rows(influence_summary(sc, *sc.downstream, contexts))[
+            "influence"]
         assert len(rows) == 3 * 3
         for source, target, value in rows:
             if source == target:
@@ -621,6 +619,29 @@ class TestInfluenceAndManipulationSummaries:
         assert ee_rows, "expected EE rows in the sweep"
         for _, kind, _, max_numerator_delta in ee_rows:
             assert max_numerator_delta == 0.0
+
+
+def test_degenerate_rows_reach_the_bundle(tmp_path):
+    # With no local training every update is zero: every weighted basis
+    # degenerates to uniform weights (2 repeats x 2 rounds x 4 methods = 16
+    # rows) and every influence column is zero (2 repeats x 3 = 6 rows).
+    path = tmp_path / "flat.scenario"
+    path.write_text(TINY_SCENARIO.replace("local_epochs = 1", "local_epochs = 0")
+                    + "\n[downstream.weighted]\n\n[downstream.influence]\n")
+    out = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+    assert verify_bundle(out) == []
+    rows = {
+        name: json.loads((Path(out) / "tables" / f"{name}.json").read_text())["rows"]
+        for name in ("weighted_flagged", "influence_flagged")
+    }
+    assert rows["weighted_flagged"] == [
+        [repeat, rnd, method] for repeat in (0, 1) for rnd in (1, 2)
+        for method in ("LOO", "FP", "EE", "COS")
+    ]
+    assert rows["influence_flagged"] == [
+        [repeat, column, "degenerate column"] for repeat in (0, 1)
+        for column in range(3)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -742,9 +763,9 @@ class TestExecutionOrder:
         alive = {}
 
         def recording(name, component):
-            def wrapper(scenario):
+            def wrapper(scenario, block):
                 alive[name] = [ref() is not None for ref in refs]
-                return component(scenario)
+                return component(scenario, block)
             return wrapper
 
         monkeypatch.setattr(bundle_module, "run_repeats", tracked_repeats)
@@ -774,13 +795,14 @@ class TestExecutionOrder:
         sc = parse_scenario(str(path), name="tiny")
         assert sc.ablation.axis == "n_clients"
         contexts = run_repeats(sc)
+        weighted, misbehaving, influence, _ = sc.downstream
         expected = tmp_path / "expected"
         for tables in (
             rank_fidelity(sc, contexts),
-            ablation(sc, contexts),
-            weighted_aggregation(sc),
-            misbehavior(sc),
-            influence_summary(sc, contexts),
+            ablation(sc, sc.ablation, contexts),
+            weighted_aggregation(sc, weighted),
+            misbehavior(sc, misbehaving),
+            influence_summary(sc, influence, contexts),
             manipulation_summary(sc, contexts),
         ):
             for name, header, rows in tables:
@@ -830,7 +852,7 @@ class TestBundleReplacement:
     ):
         path, out = self.old_bundle(tmp_path)
 
-        def broken(scenario):
+        def broken(scenario, block):
             raise error("component failed")
 
         monkeypatch.setattr(bundle_module, "misbehavior", broken)

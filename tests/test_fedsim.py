@@ -46,6 +46,7 @@ from fedscore.fedsim import (
     save_transcripts,
     sgd_train,
 )
+from fedscore.fedsim import data as data_module
 from fedscore.fedsim import federation, mlp
 from fedscore.fedsim import test_set_for as config_test_set
 
@@ -126,6 +127,12 @@ class TestPartitions:
         assert sum(sizes) == 61
         assert max(sizes) - min(sizes) <= 1
 
+    def test_iid_validation(self):
+        with pytest.raises(DataError, match="need at least one client, got 0"):
+            iid_partition(self._pool(4), 0, seed=0)
+        with pytest.raises(DataError, match="cannot give 5 clients at least one of 4"):
+            iid_partition(self._pool(4), 5, seed=0)
+
     def test_iid_deterministic(self):
         pool = self._pool()
         a = iid_partition(pool, 3, seed=3)
@@ -148,8 +155,33 @@ class TestPartitions:
             return sizes.max() - sizes.min()
         assert spread(0.05) > spread(100.0)
 
+    def test_dirichlet_repairs_empty_shards(self, monkeypatch):
+        # 9 samples for 9 clients: every redraw leaves a client empty, so
+        # the repair moves single samples into the empty shards.
+        spec = SyntheticSpec(samples_per_client=1)
+        train, _ = generate_synthetic(spec, n_clients=9, seed=0)
+        draws = []
+        real = data_module._largest_remainder
+
+        def counting(shares, total):
+            draws.append(total)
+            return real(shares, total)
+
+        monkeypatch.setattr(data_module, "_largest_remainder", counting)
+        shards = dirichlet_partition(train, 9, mu=0.5, seed=0)
+        assert len(draws) == data_module._MAX_PARTITION_ATTEMPTS * spec.n_classes
+        assert [s.n_samples for s in shards] == [1] * 9
+        rows = sorted(r.tobytes() for s in shards for r in s.features)
+        assert rows == sorted(r.tobytes() for r in train.features)
+        again = dirichlet_partition(train, 9, mu=0.5, seed=0)
+        for a, b in zip(shards, again):
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+
     def test_dirichlet_validation(self):
         pool = self._pool(4)
+        with pytest.raises(DataError, match="need at least one client, got 0"):
+            dirichlet_partition(pool, 0, mu=0.5, seed=0)
         with pytest.raises(DataError):
             dirichlet_partition(pool, 5, mu=0.5, seed=0)  # more clients than rows
         with pytest.raises(DataError):
@@ -348,6 +380,20 @@ class TestFederation:
         broken = ModelParams(t.m.values + 1.0)
         with pytest.raises(FederationError):
             RoundTranscript(round=t.round, m0=t.m0, updates=t.updates, m=broken)
+
+    @pytest.mark.parametrize("labels, message", [
+        ((1, 0), "update 0 is labelled client 1"),
+        ((3, 7), "update 0 is labelled client 3"),
+        ((0, 2), "update 1 is labelled client 2"),
+    ])
+    def test_kth_update_must_be_client_k(self, labels, message):
+        # Scores and archives go by position, so a relabelled update
+        # would hand its weight or score to another client.
+        deltas = np.eye(2, 3)
+        updates = tuple(ClientUpdate(c, ModelParams(d)) for c, d in zip(labels, deltas))
+        m0 = ModelParams(np.zeros(3))
+        with pytest.raises(FederationError, match=message):
+            RoundTranscript(1, m0, updates, ModelParams(deltas.sum(axis=0)))
 
     def test_config_validation(self):
         with pytest.raises(FederationError):

@@ -38,9 +38,17 @@ from fedscore.fedsim import (
     model_eval_oracle,
     round_oracle,
 )
-from fedscore.scoring import score_row
+from fedscore.scoring import mr_shapley_games, score_row
 
 from helpers import random_game, worked_game
+
+
+def narrow_second_round(transcripts):
+    """The first two rounds, the second cut to its first two clients."""
+    t = transcripts[1]
+    updates = t.updates[:2]
+    m = ModelParams(t.m0.values + np.sum([u.delta.values for u in updates], axis=0))
+    return [transcripts[0], RoundTranscript(t.round, t.m0, updates, m)]
 
 
 def ref_fp_alpha(u: RoundUtilities) -> list[float]:
@@ -244,6 +252,11 @@ class TestTranscriptScoring:
         with pytest.raises(ScoringError):
             cos_accumulated([])
 
+    def test_cos_accumulated_names_a_round_of_another_width(self, tiny_run):
+        _, transcripts, _ = tiny_run
+        with pytest.raises(ScoringError, match="round 2 has 2 clients, expected 3"):
+            cos_accumulated(narrow_second_round(transcripts))
+
 
 class TestMrShapley:
     def test_single_round_equals_exact_shapley_of_round_game(self, tiny_run):
@@ -284,6 +297,13 @@ class TestMrShapley:
         evaluator = model_eval_oracle(test, config.utility_kind)
         with pytest.raises(ScoringError):
             mr_shapley([], evaluator)
+
+    def test_games_name_a_round_of_another_width(self, tiny_run):
+        config, transcripts, test = tiny_run
+        evaluator = model_eval_oracle(test, config.utility_kind)
+        with pytest.raises(ScoringError, match="round 2 has 2 clients, expected 3"):
+            mr_shapley_games(narrow_second_round(transcripts), evaluator)
+        assert evaluator.call_count == 0
 
     def test_rows_refuse_thirteen_clients_before_evaluating(self, tiny_run):
         config, transcripts, test = tiny_run
