@@ -170,6 +170,15 @@ def _check_manifest_fields(manifest: dict) -> None:
         raise ArchiveError(
             "manifest.json: 'files' must be an object mapping file names to checksums"
         )
+    # Every counted round needs its checksum (see load_transcripts), so
+    # 'files' holds more names than 'rounds' only when it names others.
+    rounds = manifest["rounds"]
+    if len(files) > rounds:
+        counted = {_round_name(t) for t in range(1, rounds + 1)}
+        raise ArchiveError(
+            f"manifest.json: 'files' names {min(set(files) - counted)}, "
+            f"which 'rounds' {rounds} does not count"
+        )
 
 
 def _read_member(dirpath, *parts: str) -> bytes:

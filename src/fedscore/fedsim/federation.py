@@ -20,7 +20,6 @@ are reported as the sequential order would meet them first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -61,11 +60,14 @@ AGGREGATION_TOL = 1e-9
 
 UTILITY_KINDS = ("accuracy", "neg_loss")
 
-# Coalition models per stacked evaluation when a game is tabulated.  At
-# the bundled sizes (24 features, 1,000 test samples, 4 classes; 2-vCPU
-# Xeon, best of 9) the float32 accuracy screen took 76 us per model in
-# stacks of 4 and 67 us in stacks of 8; the loss stayed at 162-170 us.
-_TABULATION_CHUNK = 8
+# Coalition models per stacked evaluation when a game is tabulated, by
+# utility kind.  At the bundled sizes (24 features, 1,000 test samples,
+# 4 classes), with two processes evaluating at once as two Shapley
+# workers do (2-vCPU Xeon, best of 5 in each), accuracy took 114-124,
+# 104-114, 96-106 and 105-118 us per model in stacks of 8, 16, 32 and
+# 64, and the loss 253-268, 261-267 and 287-305 us in stacks of 8, 16
+# and 32.
+_TABULATION_CHUNK = {"accuracy": 32, "neg_loss": 8}
 
 
 class FederationError(ValueError):
@@ -275,7 +277,9 @@ def round_oracle(
         return CoalitionOracle(transcript.n_clients, value)
 
     def chunks():
-        return _evaluate_chunks(evaluator, _coalition_models(transcript))
+        return _evaluate_chunks(
+            evaluator, range(1 << transcript.n_clients), _coalition_table(transcript)
+        )
 
     return CoalitionOracle(transcript.n_clients, value, chunks, evaluator)
 
@@ -288,34 +292,35 @@ def _check_models(masks: Sequence[int], stack: np.ndarray) -> None:
         raise ModelError(f"model of coalition {members} contains non-finite values")
 
 
-def _coalition_models(transcript: RoundTranscript):
-    """Yield (mask, model) for every coalition, depth first from the empty one.
+def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
+    """Every coalition's model as one (2^N, n_params) table, row = mask.
 
-    model(S) = model(S - {max S}) + U_{max S}: the ascending left fold the
-    per-coalition game computes, so each model is bit-identical to it.
-    Only the models on the current path stay referenced.
+    Rows 2^j..2^(j+1)-1 are rows 0..2^j-1 plus U_j, one block add per
+    client: model(S) = model(S - {max S}) + U_{max S}, the ascending left
+    fold the per-coalition game computes, so each row is bit-identical
+    to it.
     """
     deltas = [u.delta.values for u in transcript.updates]
-    n = len(deltas)
-    yield 0, transcript.m0.values
-    todo = [(0, transcript.m0.values, j) for j in reversed(range(n))]
-    while todo:
-        parent, base, j = todo.pop()
-        mask = parent | 1 << j
-        model = base + deltas[j]
-        yield mask, model
-        todo.extend((mask, model, k) for k in reversed(range(j + 1, n)))
+    table = np.empty((1 << len(deltas), transcript.dim))
+    table[0] = transcript.m0.values
+    for j, delta in enumerate(deltas):
+        np.add(table[: 1 << j], delta, out=table[1 << j : 2 << j])
+    return table
 
 
-def _evaluate_chunks(evaluator: ModelEvaluator, models):
-    """Yield (masks, utilities) for an iterator of (mask, model) pairs,
-    stacking _TABULATION_CHUNK models per evaluation, each stack checked
-    finite before it is evaluated."""
-    while chunk := list(itertools.islice(models, _TABULATION_CHUNK)):
-        masks = [mask for mask, _ in chunk]
-        stack = np.stack([model for _, model in chunk])
-        _check_models(masks, stack)
-        yield masks, evaluator.evaluate_stack(stack)
+def _evaluate_chunks(evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray):
+    """Yield (masks, utilities) for the coalition models in the rows of
+    ``models``, evaluated in stacks of contiguous rows (_TABULATION_CHUNK).
+    The rows are checked finite once: those before the first non-finite
+    one are evaluated, and then its coalition is refused by name, as the
+    per-coalition game meets them."""
+    finite = np.isfinite(models).all(axis=1)
+    stop = len(models) if finite.all() else int(np.argmin(finite))
+    chunk = _TABULATION_CHUNK[evaluator.utility_kind]
+    for lo in range(0, stop, chunk):
+        hi = min(lo + chunk, stop)
+        yield masks[lo:hi], evaluator.evaluate_stack(models[lo:hi])
+    _check_models(masks[stop:], models[stop:])
 
 
 def _noisy_shards(config: FederationConfig, shards: list[LabeledDataset]) -> list[LabeledDataset]:
@@ -538,8 +543,8 @@ class RetrainingGame:
             _check_models(trained, models)
         del total  # not needed while the chunks below are evaluated
 
-        final = dict(zip(trained, models))
-        final[0] = self._m_init.values
-        yield from _evaluate_chunks(
-            self._evaluator, ((mask, final[mask]) for mask in masks)
-        )
+        row = {mask: k for k, mask in enumerate(trained)}
+        final = np.stack([models[row[mask]] if mask else self._m_init.values
+                          for mask in masks])
+        del models
+        yield from _evaluate_chunks(self._evaluator, masks, final)

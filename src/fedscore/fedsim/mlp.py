@@ -208,74 +208,111 @@ def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> n
     return -picked.mean(axis=1)
 
 
-def accuracy_screen(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+# The most float32 and float64 ``np.tanh`` may miss ``tanh`` by: 16 units
+# in the last place of a value in [0.5, 1), eight times the largest error
+# measured on either of numpy's tanh kernels (tests/test_accuracy_screen.py).
+_TANH32_ERR = 2.0**-20
+_TANH64_ERR = 2.0**-49
+
+# Open (model, sample) pairs refined at once.  Each pair takes copies of
+# its model's parameters (15 KB at the bundled sizes), so a stack whose
+# every sample is open, as when all logits tie, stays within a few MB.
+_REFINED_PAIRS = 256
+
+
+def accuracy_screen(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What :func:`stack_accuracy`'s float32 screen needs of a test set:
-    every sample's feature norm ||x_i||_2 and the flat offset i*K + y_i of
-    its label logit.  An evaluator computes them once and keeps them."""
-    x = data.features
-    # A norm past float64's range reads inf, which sends every model exact.
+    every sample's feature norm ||x_i||_2, the flat offset y_i*n + i of
+    its label logit in a class-major (K, n) block of logits, and the
+    features transposed to float32 with a row of ones below, (d+1, n).
+    An evaluator computes them once and keeps them."""
+    x, n = data.features, data.n_samples
+    # A norm past float64's range reads inf, which sends every model
+    # exact, and then the cast, which may overflow too, goes unused.
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    return norms, np.arange(data.n_samples) * data.n_classes + data.labels
+        x32t = np.ones((data.dim + 1, n), dtype=np.float32)
+        x32t[:-1] = x.T
+    return norms, data.labels * n + np.arange(n), x32t
 
 
 def stack_accuracy(
     arch: MlpArch,
     stack: np.ndarray,
     data: LabeledDataset,
-    screen: tuple[np.ndarray, np.ndarray] | None = None,
+    screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Accuracy of every model in a stack (ties toward the lower class),
     bit-identical to the argmax of its float64 logits.
 
-    Accuracy needs only each sample's argmax, so the stack first runs in
-    float32.  With u = 2^-24, eps_t = 2^-20 (the most float32 ``np.tanh``
-    may miss ``tanh`` by), d = in_dim and H = hidden, every float32 logit
-    lies within
+    Accuracy needs only each sample's argmax, so each sample is decided
+    in the cheapest precision that can prove it.
+
+    The stack first runs in float32, class-major: hidden units as
+    W1^T x^T, (c, H, n), and logits as W2^T hidden, (c, K, n), so the
+    bias add and the fold over the classes run along rows of samples.
+    With u = 2^-24, eps_t = 2^-20 (the most float32 ``np.tanh`` may miss
+    ``tanh`` by), d = in_dim and H = hidden, every float32 logit lies
+    within
 
         e_z(i) = (d+4) u (||x_i||_2 max_h ||W1[:,h]||_2 + max_h |b1_h|)
         B(i)   = 1.01 [max_j ||W2[:,j]||_1 (e_z(i) + eps_t)
                        + (H+4) u max_j (||W2[:,j]||_1 + |b2_j|)] + 2^-100
 
-    of the float64 one: e_z bounds the hidden pre-activations' error from
-    the casts and the first GEMM, which takes b1 as its (d+1)-th term;
-    tanh is 1-Lipschitz and |tanh| <= 1; the second layer adds its own
-    cast and rounding terms.  The factor 1.01 covers the second-order
-    terms, the float64 path's own rounding and the rounding of B itself,
-    and 2^-100 any underflow.  B and the band ``logits32 >= top32 - 2B``
+    of the float64 one, in any summation order: e_z bounds the hidden
+    pre-activations' error from the casts and the first GEMM, which takes
+    b1 as its (d+1)-th term; tanh is 1-Lipschitz and |tanh| <= 1; the
+    second layer adds its own cast and rounding terms.  The factor 1.01
+    covers the second-order terms, the float64 path's own rounding and
+    the rounding of B itself, and 2^-100 any underflow.  B and the band
     are formed in float64, where float32 values are exact.  A sample is
-    settled when its label's logit lies below the band, so the label
-    leads in neither precision, or when the label leads and the runner-up
-    (the top again, on a tie) lies below it, so the label leads alone in
-    both.  A model whose samples are all settled takes its accuracy from
-    the float32 logits at the labels; near-ties among classes that are
-    not the label cannot change it.
+    settled when the smaller of its label's logit and the runner-up (the
+    top again, on a tie) lies below top - 2B: the label then leads in
+    neither precision, or leads alone in both.
 
-    Every other model takes the float64 pass, the only exact path: any
-    tie or near-tie, a NaN, and every model when ``screen`` (see
-    :func:`accuracy_screen`, computed here when omitted) says a feature
-    norm, or a parameter, reaches 2^60/(d+H).  Below that neither the
-    cast nor a sum in either GEMM can overflow float32 (a logit stays
-    under 2^61), and no square in B overflows float64.  A stack of one
-    model takes it too: the screen's fixed cost, some 60 numpy calls,
-    outweighs what float32 saves on one model (235 against 200 us per
-    call on the bundled default's one-model evaluations; 2-vCPU Xeon,
-    best of 5).
+    The samples the screen leaves open run again in float64, only those.
+    With u = 2^-53, eps_64 = 2^-49 (float64 ``np.tanh``'s bound) and
+    r(i) = max_h (sum_k |x_ik| |W1[k,h]| + |b1_h|), both that computation
+    and the full float64 pass lie within
+
+        B64(i) = 1.01 [max_j ||W2[:,j]||_1 ((d+2) u r(i) + eps_64)
+                       + (H+2) u max_j (||W2[:,j]||_1 + |b2_j|)] + 2^-1000
+
+    of the exact logits: B's terms without the casts, the first layer's
+    sum bounded sample by sample rather than through Cauchy-Schwarz, and
+    2^-1000 for underflow.  Two of the refined logits may each lie 2 B64
+    from the full pass's, in opposite directions, so a refined sample is
+    settled when min(label, runner-up) < top - 4 B64.
+
+    A model whose samples are all settled takes the mean of (label logit
+    == top) over them; near-ties among classes that are not the label
+    cannot change it.  Every other model takes the float64 pass, the only
+    exact path: a model with a sample still open (a true tie, a NaN), and
+    every model when ``screen`` (see :func:`accuracy_screen`, computed
+    here when omitted) says a feature norm, or a parameter, reaches
+    2^60/(d+H).  Below that neither the cast nor a sum in either GEMM can
+    overflow float32 (a logit stays under 2^61), and no square in B
+    overflows float64.  A stack of one model is screened too: the bundled
+    default's 2,600 one-model evaluations (master seed 2, replayed on one
+    CPU of a 2-vCPU Xeon, best of 5) took 150 us per call screened against
+    192 us in float64, and none needed the full pass.
     """
+    norms, offsets, x32t = accuracy_screen(data) if screen is None else screen
     exact = np.ones(len(stack), dtype=bool)
-    if len(stack) > 1:
-        norms, offsets = accuracy_screen(data) if screen is None else screen
-        limit = 2.0**60 / (arch.in_dim + arch.hidden)
-        if norms.max(initial=0.0) < limit:
-            exact = ~(np.abs(stack).max(axis=1) < limit)
+    limit = 2.0**60 / (arch.in_dim + arch.hidden)
+    if norms.max(initial=0.0) < limit:
+        exact = ~(np.abs(stack).max(axis=1) < limit)
     if exact.all():
         return _float64_accuracy(arch, stack, data)
-    acc = np.empty(len(stack))
     screened = ~exact
-    acc[screened], decided = _float32_accuracy(
-        arch, stack[screened] if exact.any() else stack, data, norms, offsets
-    )
-    exact[screened] = ~decided
+    part = stack[screened] if exact.any() else stack
+    correct, settled = _float32_accuracy(arch, part, data, norms, offsets, x32t)
+    if not settled.all():
+        _float64_refinement(arch, part, data, correct, settled)
+        exact[screened] = ~settled.all(axis=1)
+    acc = np.empty(len(stack))
+    # The count of correct samples is exact, so this is np.mean's value.
+    acc[screened] = np.count_nonzero(correct, axis=1) / data.n_samples
     if exact.any():
         acc[exact] = _float64_accuracy(arch, stack[exact], data)
     return acc
@@ -286,46 +323,76 @@ def _float64_accuracy(arch, stack, data):
     return np.mean(np.argmax(logits, axis=-1) == data.labels, axis=1)
 
 
-def _float32_accuracy(arch, stack, data, norms, offsets):
-    """(accuracies, decided) of a stack run in float32: a model's accuracy
-    holds only where ``decided``, see :func:`stack_accuracy`."""
+def _float32_accuracy(arch, stack, data, norms, offsets, x32t):
+    """(correct, settled) of a stack run in float32, each (models,
+    samples): whether the label's logit is the top, which holds where
+    ``settled``; see :func:`stack_accuracy`."""
     u = 2.0**-24
-    d, h = arch.in_dim, arch.hidden
-    w1, b1, w2, b2 = _split(arch, stack)
+    c, n = len(stack), data.n_samples
+    d, h, k = arch.in_dim, arch.hidden, arch.n_classes
+    w1, _, w2, b2 = _split(arch, stack)
+    _, a_b1, a_w2, a_b2 = _split(arch, np.abs(stack))
     w1_norm = np.sqrt(np.einsum("cdh,cdh->ch", w1, w1).max(axis=1))
-    w2_l1 = np.abs(w2).sum(axis=1)
+    w2_l1 = a_w2.sum(axis=1)
     w2_max = w2_l1.max(axis=1)
     # 2B(i) = slope * ||x_i|| + offset: B expanded, scalars first.
     z_rate = 2.02 * (d + 4) * u
     slope = z_rate * w2_max * w1_norm
     offset = (
-        w2_max * (z_rate * np.abs(b1).max(axis=1) + 2.02 * 2.0**-20)
-        + 2.02 * (h + 4) * u * (w2_l1 + np.abs(b2)).max(axis=1)
+        w2_max * (z_rate * a_b1.max(axis=1) + 2.02 * _TANH32_ERR)
+        + 2.02 * (h + 4) * u * (w2_l1 + a_b2).max(axis=1)
         + 2.0**-99
     )
     # b1 follows W1 in the packing, so [W1; b1] is one (d+1, H) block and
-    # the bias folds into the first GEMM through a column of ones.
-    stack32 = stack.astype(np.float32)
-    x32 = np.ones((data.n_samples, d + 1), dtype=np.float32)
-    x32[:, :d] = data.features
-    hidden = x32 @ stack32[:, : (d + 1) * h].reshape(-1, d + 1, h)
+    # the bias folds into the first GEMM through x32t's row of ones.  One
+    # GEMM per model: a single (c*H, d+1) product is large enough for
+    # OpenBLAS to thread, which the forked Shapley workers oversubscribe
+    # (12x slower per call with two workers on two CPUs).
+    w1t = stack[:, : (d + 1) * h].reshape(c, d + 1, h).transpose(0, 2, 1)
+    hidden = np.ascontiguousarray(w1t, dtype=np.float32) @ x32t
     np.tanh(hidden, out=hidden)
-    _, _, w2_32, b2_32 = _split(arch, stack32)
-    logits = hidden @ w2_32
-    logits += b2_32[:, None, :]
+    logits = np.ascontiguousarray(w2.transpose(0, 2, 1), dtype=np.float32) @ hidden
+    logits += b2.astype(np.float32)[:, :, None]
     # The largest and second largest logit of every sample, folded over
-    # the class columns; a tie makes them equal, and NaN propagates.
-    top = np.maximum(logits[..., 0], logits[..., 1])
-    second = np.minimum(logits[..., 0], logits[..., 1])
-    for j in range(2, arch.n_classes):
-        np.maximum(second, np.minimum(top, logits[..., j]), out=second)
-        np.maximum(top, logits[..., j], out=top)
+    # the class rows; a tie makes them equal, and NaN propagates.
+    top = np.maximum(logits[:, 0], logits[:, 1])
+    second = np.minimum(logits[:, 0], logits[:, 1])
+    for j in range(2, k):
+        np.maximum(second, np.minimum(top, logits[:, j]), out=second)
+        np.maximum(top, logits[:, j], out=top)
     # Where the smaller of the label's logit and the runner-up lies below
     # top - 2B (in float64), the label leads alone or cannot lead.
-    picked = np.take(logits.reshape(len(stack), -1), offsets, axis=1)
+    picked = np.take(logits.reshape(c, -1), offsets, axis=1)
     low = top - (slope[:, None] * norms + offset[:, None])
-    decided = (np.minimum(picked, second) < low).all(axis=1)
-    return np.mean(picked == top, axis=1), decided
+    return picked == top, np.minimum(picked, second) < low
+
+
+def _float64_refinement(arch, stack, data, correct, settled):
+    """Settle in float64 the samples the float32 screen left open, each on
+    its own, updating ``correct`` and ``settled`` in place.  See
+    :func:`stack_accuracy`."""
+    u = 2.0**-53
+    d, h = arch.in_dim, arch.hidden
+    open_rows, open_samples = np.nonzero(~settled)
+    for lo in range(0, len(open_rows), _REFINED_PAIRS):
+        rows = open_rows[lo : lo + _REFINED_PAIRS]
+        samples = open_samples[lo : lo + _REFINED_PAIRS]
+        params = stack[rows]
+        w1, b1, w2, b2 = _split(arch, params)
+        a_w1, a_b1, a_w2, a_b2 = _split(arch, np.abs(params))
+        x = data.features[samples][:, None]
+        logits = (np.tanh(x @ w1 + b1[:, None]) @ w2)[:, 0] + b2
+        ordered = np.sort(logits, axis=1)  # NaN sorts last, into the top
+        top, second = ordered[:, -1], ordered[:, -2]
+        picked = logits[np.arange(len(rows)), data.labels[samples]]
+        reach = (np.abs(x) @ a_w1)[:, 0] + a_b1
+        w2_l1 = a_w2.sum(axis=1)
+        band = 4.04 * (
+            w2_l1.max(axis=1) * ((d + 2) * u * reach.max(axis=1) + _TANH64_ERR)
+            + (h + 2) * u * (w2_l1 + a_b2).max(axis=1)
+        ) + 2.0**-998
+        correct[rows, samples] = picked == top
+        settled[rows, samples] = np.minimum(picked, second) < top - band
 
 
 def mean_loss(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float:

@@ -162,18 +162,31 @@ class CoalitionOracle:
         seen = np.zeros(2**n, dtype=bool)
         for masks, chunk in self._chunks():
             self._record(masks)
-            for mask, value in zip(masks, chunk):
+            index = np.asarray(masks, dtype=np.int64)
+            chunk = np.asarray(chunk, dtype=np.float64)
+            # A mask is new where it lies inside the game, is not seen
+            # yet and is not repeated earlier in this chunk.
+            new = (index >= 0) & (index < 2**n)
+            new[new] = ~seen[index[new]]
+            first = np.zeros(len(index), dtype=bool)
+            first[np.unique(index, return_index=True)[1]] = True
+            new &= first
+            ok = new & np.isfinite(chunk)
+            if not ok.all():  # the first fault in chunk order, as a loop meets it
+                k = int(np.argmin(ok))
+                mask = int(index[k])
                 if not 0 <= mask < 2**n:
                     raise GameError(
                         f"tabulation yielded mask {mask}, outside a game of "
                         f"{n} clients"
                     )
-                if seen[mask]:
+                if not new[k]:
                     raise GameError(
                         f"tabulation yielded coalition {Coalition(mask).members} twice"
                     )
-                seen[mask] = True
-                values[mask] = _finite_utility(mask, value)
+                _finite_utility(mask, chunk[k])
+            seen[index] = True
+            values[index] = chunk
         return values
 
     @property

@@ -4,7 +4,8 @@ Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
 config; so do an unsupported format, a client count the config does not
-share and a round file the manifest has no checksum for.  Each ``config.json`` field must be there with its JSON type, so
+share, a round file the manifest has no checksum for and a file name
+past the manifest's round count.  Each ``config.json`` field must be there with its JSON type, so
 a bad one is named instead of loading and failing later.  A file the
 manifest relies on but the directory lacks names that file, and so does a
 round file whose checksum matches but whose contents do not parse.  A
@@ -130,6 +131,10 @@ def _touch_config(arc):
     pytest.param(_drop_round_checksum,
                  "manifest.json: 'files' has no checksum for round_0002.bin",
                  id="round-checksum-missing"),
+    pytest.param(lambda arc: _set_manifest(arc, "rounds", 1),
+                 "manifest.json: 'files' names round_0002.bin, which 'rounds' 1 "
+                 "does not count",
+                 id="round-past-rounds"),
 ])
 def test_manifest_refusal_is_named(archive, damage, message):
     damage(archive)
@@ -148,6 +153,23 @@ def test_cli_prints_the_manifest_refusal(archive):
     assert proc.returncode == 1
     assert proc.stderr == (
         "fedscore: error: manifest.json: unsupported 'format_version' 2, expected 1\n"
+    )
+
+
+def test_cli_names_a_round_file_past_rounds(archive):
+    # The config and the round files still say two rounds; only the
+    # manifest's count was lowered, which used to load one round quietly.
+    _set_manifest(archive, "rounds", 1)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedscore", "score", str(archive), "--method", "ee"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "fedscore: error: manifest.json: 'files' names round_0002.bin, "
+        "which 'rounds' 1 does not count\n"
     )
 
 

@@ -4,10 +4,12 @@
 process pool, or one after another in this process when one CPU is
 usable.  Both paths must give the same bits (uint64 views, no
 tolerance), leave the same audit and evaluation counts, raise the same
-first failure, and leave no worker process behind.  ``_usable_cpus`` is
+first failure, and leave no worker process behind; a scenario run that
+fails on a worker leaves no bundle that verifies.  ``_usable_cpus`` is
 patched to pick the path, so the pool path runs even on one CPU.
 """
 
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -18,7 +20,13 @@ import numpy as np
 import pytest
 
 from fedscore import CoalitionOracle, games
-from fedscore.experiments import parse_scenario, rank_fidelity, run_repeats
+from fedscore.experiments import (
+    parse_scenario,
+    rank_fidelity,
+    run_repeats,
+    run_scenario,
+    verify_bundle,
+)
 from fedscore.fedsim import RetrainingGame, TrainingDiverged, federation, round_oracle
 from fedscore.fedsim.mlp import HIDDEN_UNITS
 from fedscore.games import shapley_exact_all
@@ -178,3 +186,63 @@ def test_other_threads_keep_the_games_in_process(pools):
     assert opened == []
     assert len(vectors) == 3
     assert [e.call_count for e in evaluators] == [16, 8]
+
+
+def failed_runs(pools, tmp_path, scenario_text, owner, name, replacement):
+    """Run a scenario with ``owner.name`` replaced, over an older bundle,
+    in-process and then on the forked pool; return each run's
+    (exception type, message)."""
+    path = tmp_path / "faulty.scenario"
+    path.write_text(scenario_text)
+    raised = []
+    for cpus in (1, 2):
+        out = tmp_path / f"out-{cpus}"
+        opened = pools(1)
+        run_scenario(str(path), out_dir=str(out))  # the older bundle
+        assert verify_bundle(str(out)) == []
+        (out / "notes.txt").write_text("kept\n")
+        pools(cpus)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(owner, name, replacement)
+            with pytest.raises(Exception) as info:
+                run_scenario(str(path), out_dir=str(out))
+        raised.append((type(info.value), str(info.value)))
+        with pytest.raises(FileNotFoundError):
+            verify_bundle(str(out))
+        assert sorted(os.listdir(out)) == ["notes.txt"]
+        assert multiprocessing.active_children() == []
+    assert opened == [2]  # only the failing run on two CPUs forked workers
+    return raised
+
+
+def test_nan_utility_in_a_worker_fails_the_run_as_in_process(pools, tmp_path):
+    # Every stacked evaluation, so every MR-SV tabulation and nothing of
+    # the 2N+2 probe set, reads NaN for its last coalition.
+    real = federation.ModelEvaluator.evaluate_stack
+
+    def evaluate_stack(self, stack):
+        utilities = real(self, stack)
+        if len(stack) > 1:
+            utilities[-1] = np.nan
+        return utilities
+
+    raised = failed_runs(pools, tmp_path, TINY_SCENARIO,
+                         federation.ModelEvaluator, "evaluate_stack", evaluate_stack)
+    assert raised[0] == raised[1] == (
+        games.GameError, "utility of coalition (0, 1, 2) is not finite: nan")
+
+
+def test_diverged_true_sv_game_in_a_worker_fails_the_run_as_in_process(pools, tmp_path):
+    # The retraining game trains at a learning rate of 1e308, so its local
+    # loss overflows in the first round; the base federations train as set.
+    real = RetrainingGame.__init__
+
+    def init(self, config):
+        real(self, config)
+        self.config = dataclasses.replace(config, lr=1e308)
+
+    raised = failed_runs(pools, tmp_path, SCENARIO, RetrainingGame, "__init__", init)
+    assert raised[0] == raised[1] == (
+        TrainingDiverged,
+        "client 0 diverged in round 1 in coalition (0,): local loss became inf",
+    )

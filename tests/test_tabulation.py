@@ -29,7 +29,7 @@ from fedscore.fedsim import (
     mean_loss,
     round_oracle,
 )
-from fedscore.fedsim.federation import _coalition_models
+from fedscore.fedsim.federation import _coalition_table
 from fedscore.fedsim.mlp import stack_accuracy
 from fedscore.games import shapley_exact_all
 from fedscore.scoring import (
@@ -155,12 +155,9 @@ def test_probe_set_of_the_tabulated_game_is_the_transcript_probe_set(kind):
 
 def test_coalition_models_are_the_ascending_left_fold():
     (t,) = make_transcripts(5)
-    seen = {}
-    for mask, model in _coalition_models(t):
-        assert mask not in seen
-        seen[mask] = model
-    assert sorted(seen) == list(range(2**5))
-    for mask, model in seen.items():
+    table = _coalition_table(t)
+    assert table.shape == (2**5, ARCH.n_params) and table.flags.c_contiguous
+    for mask, model in enumerate(table):
         assert np.array_equal(bits(model), bits(reference_model(t, mask)))
 
 
