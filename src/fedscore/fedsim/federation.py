@@ -21,7 +21,7 @@ are reported as the sequential order would meet them first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -252,16 +252,13 @@ def model_eval_oracle(test: LabeledDataset, utility_kind: str = "neg_loss") -> M
     return ModelEvaluator(MlpArch.for_data(test), test, utility_kind)
 
 
-def round_oracle(
-    transcript: RoundTranscript, evaluator: Callable[[ModelParams], float]
-) -> CoalitionOracle:
+def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> CoalitionOracle:
     """The round's coalition game: v(S) = evaluator(m0 + sum_{i in S} U_i).
 
     Client i here means the i-th update in the transcript.  The empty
-    coalition evaluates the unmodified start model.  With a
-    :class:`ModelEvaluator`, tabulating the whole game evaluates the
-    coalition models in stacked chunks; every model and utility is
-    bit-identical to evaluating its coalition alone.
+    coalition evaluates the unmodified start model.  Tabulating the whole
+    game evaluates the coalition models in stacked chunks; every model
+    and utility is bit-identical to evaluating its coalition alone.
     """
     deltas = [u.delta.values for u in transcript.updates]
     m0 = transcript.m0
@@ -272,9 +269,6 @@ def round_oracle(
             model = model + deltas[i]
         _check_models([coalition.mask], model[None])
         return float(evaluator(ModelParams(model)))
-
-    if not isinstance(evaluator, ModelEvaluator):
-        return CoalitionOracle(transcript.n_clients, value)
 
     def chunks():
         return _evaluate_chunks(
@@ -309,17 +303,17 @@ def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
 
 
 def _evaluate_chunks(evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray):
-    """Yield (masks, utilities) for the coalition models in the rows of
-    ``models``, evaluated in stacks of contiguous rows (_TABULATION_CHUNK).
-    The rows are checked finite once: those before the first non-finite
-    one are evaluated, and then its coalition is refused by name, as the
+    """Yield the utilities of the coalition models in the rows of
+    ``models``, in row order, evaluated in stacks of contiguous rows
+    (_TABULATION_CHUNK); ``masks`` names each row's coalition.  The rows
+    are checked finite once: those before the first non-finite one are
+    evaluated, and then its coalition is refused by name, as the
     per-coalition game meets them."""
     finite = np.isfinite(models).all(axis=1)
     stop = len(models) if finite.all() else int(np.argmin(finite))
     chunk = _TABULATION_CHUNK[evaluator.utility_kind]
     for lo in range(0, stop, chunk):
-        hi = min(lo + chunk, stop)
-        yield masks[lo:hi], evaluator.evaluate_stack(models[lo:hi])
+        yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)])
     _check_models(masks[stop:], models[stop:])
 
 
@@ -469,8 +463,8 @@ class RetrainingGame:
                 f"coalition {coalition.members} out of range for "
                 f"{self.n_clients} clients"
             )
-        ((_, utilities),) = self._retrain([coalition.mask])
-        return float(utilities[0])
+        ((utility,),) = self._retrain([coalition.mask])
+        return float(utility)
 
     def oracle(self) -> CoalitionOracle:
         """A fresh auditing oracle over this game; tabulating it retrains
@@ -483,7 +477,7 @@ class RetrainingGame:
 
     def _retrain(self, masks: Sequence[int]):
         """Train the coalitions in ``masks`` in lockstep, then yield their
-        (masks, utilities) in evaluated chunks.
+        utilities, in ``masks`` order, in evaluated chunks.
 
         Each round trains a list of (client, coalition) pairs, client-major,
         :data:`_ROW_CAP` at a time by :func:`sgd_train_rows`, each from its

@@ -82,11 +82,6 @@ class Coalition:
     def __iter__(self):
         return iter(self.members)
 
-    def add(self, client: int) -> "Coalition":
-        if client < 0:
-            raise GameError(f"negative client index {client}")
-        return Coalition(self.mask | (1 << client))
-
     def remove(self, client: int) -> "Coalition":
         if client not in self:
             raise GameError(f"client {client} is not in coalition {self.members}")
@@ -100,18 +95,19 @@ class CoalitionOracle:
     mask of every evaluated coalition lands in the audit log, so a test can
     assert both how many utility evaluations a method consumed and which
     coalitions it was allowed to see.  Not to be shared between threads;
-    :func:`shapley_exact_all` tabulates forked copies on worker processes
-    and adds their audits back to the originals.
+    :func:`shapley_exact_all` tabulates forked copies on worker processes,
+    and once a worker's 2^N audit has passed the parent records masks
+    0..2^N-1 on the original.
 
     Args:
         n_clients: size of the player set; coalitions must stay within it.
         fn: the utility function, called with a :class:`Coalition`.
         chunks: optional batch path for :meth:`tabulate`; called with no
-            arguments, it yields (masks, utilities) pairs that together
-            cover every coalition exactly once.  Round games use it to
-            evaluate stacked coalition models, retraining games to train
-            every coalition in lockstep; either way each utility must be
-            the one ``fn`` returns for that coalition.
+            arguments, it yields utility arrays whose concatenation is
+            every coalition's utility in mask order.  Round games use it
+            to evaluate stacked coalition models, retraining games to
+            train every coalition in lockstep; either way each utility
+            must be the one ``fn`` returns for that coalition.
         evaluator: optional model evaluator that tabulation counts its
             evaluations on (anything with ``call_count`` and
             ``add_calls``); :func:`shapley_exact_all` adds a worker's
@@ -122,7 +118,7 @@ class CoalitionOracle:
         self,
         n_clients: int,
         fn: Callable[[Coalition], float],
-        chunks: Callable[[], Iterable[tuple[Sequence[int], np.ndarray]]] | None = None,
+        chunks: Callable[[], Iterable[np.ndarray]] | None = None,
         evaluator=None,
     ):
         if n_clients < 1:
@@ -149,45 +145,32 @@ class CoalitionOracle:
 
     def tabulate(self) -> np.ndarray:
         """Every coalition's utility, indexed by mask, each evaluated and
-        audited exactly once.  Raises GameError when the batch path
-        yields a mask twice or outside the game."""
+        audited once, in mask order, as its utility arrives.  Raises
+        GameError at the first non-finite utility, or when the batch path
+        yields more than 2^N utilities; a short table fails the 2^N audit
+        of :func:`shapley_exact`."""
         n = self.n_clients
         if n > MAX_ENUM_CLIENTS:
             raise GameError(
                 f"exact enumeration capped at {MAX_ENUM_CLIENTS} clients, got {n}"
             )
-        if self._chunks is None:
-            return np.array([self.evaluate(Coalition(mask)) for mask in range(2**n)])
+        chunks = (self._chunks() if self._chunks is not None
+                  else ([self._fn(Coalition(mask))] for mask in range(2**n)))
         values = np.empty(2**n)
-        seen = np.zeros(2**n, dtype=bool)
-        for masks, chunk in self._chunks():
-            self._record(masks)
-            index = np.asarray(masks, dtype=np.int64)
+        done = 0
+        for chunk in chunks:
             chunk = np.asarray(chunk, dtype=np.float64)
-            # A mask is new where it lies inside the game, is not seen
-            # yet and is not repeated earlier in this chunk.
-            new = (index >= 0) & (index < 2**n)
-            new[new] = ~seen[index[new]]
-            first = np.zeros(len(index), dtype=bool)
-            first[np.unique(index, return_index=True)[1]] = True
-            new &= first
-            ok = new & np.isfinite(chunk)
-            if not ok.all():  # the first fault in chunk order, as a loop meets it
-                k = int(np.argmin(ok))
-                mask = int(index[k])
-                if not 0 <= mask < 2**n:
-                    raise GameError(
-                        f"tabulation yielded mask {mask}, outside a game of "
-                        f"{n} clients"
-                    )
-                if not new[k]:
-                    raise GameError(
-                        f"tabulation yielded coalition {Coalition(mask).members} twice"
-                    )
-                _finite_utility(mask, chunk[k])
-            seen[index] = True
-            values[index] = chunk
-        return values
+            if done + len(chunk) > 2**n:
+                raise GameError(f"tabulation yielded more than {2**n} "
+                                f"utilities for a game of {n} clients")
+            self._record(range(done, done + len(chunk)))
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                _finite_utility(done + k, chunk[k])
+            values[done : done + len(chunk)] = chunk
+            done += len(chunk)
+        return values[:done]
 
     @property
     def call_count(self) -> int:
@@ -206,6 +189,14 @@ def _finite_utility(mask: int, value) -> float:
             f"utility of coalition {Coalition(mask).members} is not finite: {value!r}"
         )
     return value
+
+
+def _table_entry(n_clients: int, mask: int, value) -> float:
+    """A table entry's utility; refuses a mask outside the game and a
+    non-finite utility."""
+    if not 0 <= mask < 2**n_clients:
+        raise GameError(f"coalition mask {mask} out of range for {n_clients} clients")
+    return _finite_utility(mask, value)
 
 
 def _check_table_clients(n_clients, where=""):
@@ -252,7 +243,8 @@ class TableGame:
         exactly once.
         """
         _check_table_clients(n_clients)
-        table = np.full(2**n_clients, np.nan)
+        table = np.empty(2**n_clients)
+        given = np.zeros(2**n_clients, dtype=bool)
         for key, value in values.items():
             if isinstance(key, Coalition):
                 mask = key.mask
@@ -260,14 +252,12 @@ class TableGame:
                 mask = int(key)
             else:
                 mask = Coalition.of(key).mask
-            if not 0 <= mask < 2**n_clients:
-                raise GameError(f"coalition mask {mask} out of range")
-            if not np.isnan(table[mask]):
+            value = _table_entry(n_clients, mask, value)
+            if given[mask]:
                 raise GameError(f"coalition mask {mask} specified twice")
-            table[mask] = float(value)
-        if np.any(np.isnan(table)):
-            missing = int(np.flatnonzero(np.isnan(table))[0])
-            raise GameError(f"missing utility for coalition mask {missing}")
+            table[mask], given[mask] = value, True
+        if not given.all():
+            raise GameError(f"missing utility for coalition mask {int(np.argmin(given))}")
         return cls(n_clients, table)
 
     def value(self, coalition: Coalition) -> float:
@@ -279,8 +269,9 @@ class TableGame:
         return float(self.table[coalition.mask])
 
     def oracle(self) -> CoalitionOracle:
-        """A fresh auditing oracle over this table."""
-        return CoalitionOracle(self.n_clients, self.value)
+        """A fresh auditing oracle over this table; tabulating it hands
+        over the whole table as one chunk."""
+        return CoalitionOracle(self.n_clients, self.value, lambda: [self.table])
 
 
 @dataclass(frozen=True)
@@ -382,12 +373,12 @@ def _counted(oracle: CoalitionOracle) -> int:
 
 
 def _shapley_in_worker(k: int):
-    """Game k's exact Shapley scores, the masks its tabulation audited,
-    and the evaluations it counted on its evaluator."""
+    """Game k's exact Shapley scores and the evaluations it counted on
+    its evaluator."""
     oracle = _worker_oracles[k]
-    audited, counted = oracle.call_count, _counted(oracle)
+    counted = _counted(oracle)
     scores = shapley_exact(oracle).scores
-    return scores, oracle.audit_log[audited:], _counted(oracle) - counted
+    return scores, _counted(oracle) - counted
 
 
 def shapley_exact_all(oracles: Sequence[CoalitionOracle]) -> list[ScoreVector]:
@@ -400,12 +391,13 @@ def shapley_exact_all(oracles: Sequence[CoalitionOracle]) -> list[ScoreVector]:
     platform cannot fork, or when this process runs other threads (a
     fork would copy the locks they hold).
 
-    Each worker audits its game at 2^N evaluations, and the parent adds
-    that audit to the oracle and that count to the oracle's evaluator,
-    so every count reads as if the games had run here.  A failure is
-    raised as running the games in order would meet it first: the
-    lowest failing game's exception, type, message and attributes kept,
-    after the games before it are counted.  No worker outlives the call.
+    Each worker audits its game at 2^N evaluations; once that passed, the
+    parent records masks 0..2^N-1 on the oracle and adds the worker's
+    count to the oracle's evaluator, so every count reads as if the
+    games had run here.  A failure is raised as running the games in
+    order would meet it first: the lowest failing game's exception,
+    type, message and attributes kept, after the games before it are
+    counted.  No worker outlives the call.
     """
     oracles = list(oracles)
     workers = min(len(oracles), _usable_cpus())
@@ -422,8 +414,8 @@ def shapley_exact_all(oracles: Sequence[CoalitionOracle]) -> list[ScoreVector]:
         tasks = [pool.submit(_shapley_in_worker, k) for k in range(len(oracles))]
         out = []
         for oracle, task in zip(oracles, tasks):
-            scores, audit, counted = task.result()
-            oracle._record(audit)
+            scores, counted = task.result()
+            oracle._record(range(2**oracle.n_clients))
             if counted:
                 oracle.evaluator.add_calls(counted)
             out.append(ScoreVector("SV", scores))
@@ -475,7 +467,13 @@ def load_table_game(path) -> TableGame:
                 ) from None
             if mask in entries:
                 raise GameError(f"{path}:{lineno}: duplicate coalition mask {mask}")
-            entries[mask] = value
+            try:
+                entries[mask] = _table_entry(n_clients, mask, value)
+            except GameError as exc:
+                raise GameError(f"{path}:{lineno}: {exc}") from None
     if n_clients is None:
         raise GameError(f"{path}: empty game file")
-    return TableGame.from_values(n_clients, entries)
+    try:
+        return TableGame.from_values(n_clients, entries)
+    except GameError as exc:  # a coalition no line gives
+        raise GameError(f"{path}: {exc}") from None

@@ -1108,6 +1108,15 @@ class TestCli:
         assert proc.stderr.startswith("fedscore: error:")
         assert "negative.game:1: table games support 1..20" in proc.stderr
 
+    def test_game_row_refusal_names_the_line(self, tmp_path):
+        path = tmp_path / "nan.game"
+        path.write_text("# one client\n1\n0 0.0\n1 nan\n")
+        proc = self._run("game", "shapley", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"fedscore: error: {path}:4: utility of "
+                               "coalition (0,) is not finite: nan\n")
+
     def test_errors_exit_one(self, tmp_path):
         proc = self._run("game", "shapley", str(tmp_path / "missing.game"))
         assert proc.returncode == 1

@@ -53,10 +53,8 @@ class TestCoalition:
 
     def test_add_remove(self):
         c = Coalition.of([1])
-        assert c.add(0).members == (0, 1)
-        assert c.add(0).remove(1).members == (0,)
-        # add is idempotent, remove is strict
-        assert c.add(1) == c
+        assert Coalition.of([0, 1]).remove(1).members == (0,)
+        # remove is strict
         with pytest.raises(GameError):
             c.remove(0)
 
@@ -89,6 +87,32 @@ class TestCoalitionOracle:
         with pytest.raises(GameError):
             oracle.evaluate(Coalition.of([0]))
 
+    def test_tabulation_audits_each_mask_in_order(self):
+        oracle = CoalitionOracle(4, lambda c: float(c.size))
+        assert np.array_equal(oracle.tabulate(), [bin(m).count("1") for m in range(16)])
+        assert oracle.audit_log == tuple(range(2**4))
+
+    @pytest.mark.parametrize("k", [0, 5, 15])
+    def test_tabulation_audits_only_the_coalitions_before_a_raising_fn(self, k):
+        def fn(c):
+            if c.mask == k:
+                raise RuntimeError(f"mask {k}")
+            return 0.0
+
+        oracle = CoalitionOracle(4, fn)
+        with pytest.raises(RuntimeError, match=f"mask {k}"):
+            oracle.tabulate()
+        assert oracle.audit_log == tuple(range(k))
+        assert oracle.call_count == k
+
+    def test_tabulation_refuses_the_first_non_finite_utility(self):
+        values = np.zeros(8)
+        values[[5, 6]] = (np.inf, np.nan)
+        oracle = CoalitionOracle(3, lambda c: 0.0, lambda: [values[:4], values[4:]])
+        with pytest.raises(GameError, match=r"coalition \(0, 2\) is not finite: inf"):
+            oracle.tabulate()
+        assert oracle.audit_log == tuple(range(8))
+
 
 class TestTableGame:
     def test_from_values_key_forms(self):
@@ -107,6 +131,18 @@ class TestTableGame:
         with pytest.raises(GameError, match="missing"):
             TableGame.from_values(2, {0: 0.0, 1: 1.0, 3: 3.0})
 
+    @pytest.mark.parametrize("values", [
+        pytest.param({0: 0.0, 1: math.nan}, id="nan"),
+        pytest.param({0: 0.0, 1: math.nan, (0,): 1.0}, id="nan-then-again"),
+    ])
+    def test_non_finite_utility_is_refused_by_its_coalition(self, values):
+        with pytest.raises(GameError, match=r"coalition \(0,\) is not finite: nan"):
+            TableGame.from_values(1, values)
+
+    def test_coalition_given_twice_rejected(self):
+        with pytest.raises(GameError, match="mask 1 specified twice"):
+            TableGame.from_values(1, {0: 0.0, 1: 1.0, (0,): 1.0})
+
     def test_value_lookup(self):
         game = worked_game()
         assert game.value(Coalition.of([1, 2])) == 3.0
@@ -117,7 +153,7 @@ class TestTableGame:
         oracle = game.oracle()
         sv = shapley_exact(oracle)
         assert oracle.call_count == 2**3
-        assert sorted(oracle.audit_log) == list(range(8))
+        assert oracle.audit_log == tuple(range(8))
         assert sv.method == "SV"
 
     def test_too_many_clients_rejected(self):
@@ -170,27 +206,27 @@ class TestShapley:
         game = worked_game()
 
         def chunks():  # every coalition but the grand one
-            masks = range(2**game.n_clients - 1)
-            yield masks, game.table[list(masks)]
+            yield game.table[:-1]
 
         oracle = CoalitionOracle(game.n_clients, game.value, chunks)
         with pytest.raises(GameError, match="7 evaluations, expected 8"):
             shapley_exact(oracle)
 
-    @pytest.mark.parametrize("masks, message", [
-        ([0, *range(2**10 - 1)], r"coalition \(\) twice"),
-        ([*range(2**10 - 1), 2**10], "mask 1024, outside a game of 10 clients"),
-        ([*range(2**10 - 1), -1], "mask -1, outside a game of 10 clients"),
+    @pytest.mark.parametrize("chunks, audited", [
+        pytest.param(lambda t: [np.append(t, 0.0)], 0, id="past-in-one-chunk"),
+        pytest.param(lambda t: [t, t], 2**10, id="second-full-table"),
+        pytest.param(lambda t: [*np.split(t, 32), [0.0]], 2**10,
+                     id="past-after-the-table"),
     ])
-    def test_tabulation_that_repeats_a_coalition_is_refused(self, masks, message):
+    def test_tabulation_past_two_to_the_n_is_refused(self, chunks, audited):
         game = TableGame(10, np.arange(2**10) ** 1.5)
-
-        def chunks():  # 2^N masks, but the grand coalition never comes
-            yield masks, game.table[np.clip(masks, 0, 2**10 - 1)]
-
-        oracle = CoalitionOracle(game.n_clients, game.value, chunks)
-        with pytest.raises(GameError, match=message):
+        oracle = CoalitionOracle(game.n_clients, game.value,
+                                 lambda: chunks(game.table))
+        with pytest.raises(GameError, match=(
+                "tabulation yielded more than 1024 utilities for a game of "
+                "10 clients")):
             shapley_exact(oracle)
+        assert oracle.audit_log == tuple(range(audited))
 
     def test_efficiency(self):
         rng = np.random.default_rng(63)
@@ -244,7 +280,24 @@ class TestGameFiles:
     def test_missing_row_rejected(self, tmp_path):
         path = tmp_path / "short.game"
         path.write_text("2\n0 0.0\n1 1.0\n2 2.0\n")
-        with pytest.raises(GameError):
+        with pytest.raises(GameError, match=(
+                r"short\.game: missing utility for coalition mask 3")):
+            load_table_game(path)
+
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("9 1.0", "coalition mask 9 out of range for 1 clients",
+                     id="mask-past-the-game"),
+        pytest.param("-1 1.0", "coalition mask -1 out of range for 1 clients",
+                     id="negative-mask"),
+        pytest.param("1 1e999", r"utility of coalition \(0,\) is not finite: inf",
+                     id="overflowing-utility"),
+        pytest.param("1 nan", r"utility of coalition \(0,\) is not finite: nan",
+                     id="nan-utility"),
+    ])
+    def test_bad_row_names_line(self, row, message, tmp_path):
+        path = tmp_path / "bad.game"
+        path.write_text(f"1\n0 0.0\n{row}\n1 1.0\n")
+        with pytest.raises(GameError, match=rf"bad\.game:3: {message}$"):
             load_table_game(path)
 
     @pytest.mark.parametrize("count", [-1, 0, 21, 64])

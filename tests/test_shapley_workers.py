@@ -114,6 +114,7 @@ def test_audits_and_evaluator_counts_fold_back(pools):
     assert opened == [2]
     assert results[0] == results[1]
     assert results[1][1] == [8, 8, 8]
+    assert results[1][2] == [tuple(range(8))] * 3
     assert results[1][3] == [16, 8]
     assert multiprocessing.active_children() == []
 

@@ -1,12 +1,11 @@
 """Batched round-game tabulation against the per-coalition reference.
 
-The reference kept here is the computation from before batching: the
-per-coalition loop (``round_oracle`` plus ``oracle.evaluate`` for every
-mask), each coalition model built by the ascending left fold
-m0 + U_a + U_b + ..., and one model evaluated at a time by the plain
-single-model forward formula below.  The batched path must reproduce it
-bit for bit, so every comparison is on the uint64 view of the float64
-results, with no tolerance.
+The reference kept here is the computation from before batching: each
+coalition model built alone by the ascending left fold m0 + U_a + U_b +
+... (``reference_model``), and one model evaluated at a time by the
+plain single-model forward formula below (``reference_utility``).  The
+batched path must reproduce it bit for bit, so every comparison is on
+the uint64 view of the float64 results, with no tolerance.
 """
 
 import numpy as np
@@ -76,22 +75,19 @@ def reference_utility(kind, vec, arch=ARCH, data=TEST):
     return -float(-logp[np.arange(data.n_samples), data.labels].mean())
 
 
-def reference_table(transcript, kind, arch=ARCH, data=TEST):
-    """Every coalition evaluated alone, in mask order, by the kept formula."""
-    oracle = round_oracle(
-        transcript, lambda model: reference_utility(kind, model.values, arch, data)
-    )
-    return np.array([
-        oracle.evaluate(Coalition(mask))
-        for mask in range(2**transcript.n_clients)
-    ])
-
-
 def reference_model(transcript, mask):
     model = transcript.m0.values
     for i in Coalition(mask).members:
         model = model + transcript.updates[i].delta.values
     return model
+
+
+def reference_table(transcript, kind, arch=ARCH, data=TEST):
+    """Every coalition evaluated alone, in mask order, by the kept formula."""
+    return np.array([
+        reference_utility(kind, reference_model(transcript, mask), arch, data)
+        for mask in range(2**transcript.n_clients)
+    ])
 
 
 def make_transcript(rnd, m0, deltas):
@@ -134,7 +130,7 @@ def test_tabulation_is_bit_identical_to_per_coalition_loop(kind, n):
     table = oracle.tabulate()
     assert np.array_equal(bits(table), bits(expect))
     assert oracle.call_count == 2**n
-    assert sorted(oracle.audit_log) == list(range(2**n))
+    assert oracle.audit_log == tuple(range(2**n))
     assert evaluator.call_count == 2**n
     # The scores on top of the table follow it bit for bit too.
     batched = shapley_exact(round_oracle(t, evaluator)).scores
@@ -196,7 +192,7 @@ def test_generated_transcripts_tabulate_bit_identically(kind, data):
     oracle = round_oracle(t, evaluator)
     assert np.array_equal(bits(oracle.tabulate()), bits(expect))
     assert oracle.call_count == evaluator.call_count == 2**n
-    assert sorted(oracle.audit_log) == list(range(2**n))
+    assert oracle.audit_log == tuple(range(2**n))
 
 
 def _caught(fn):
