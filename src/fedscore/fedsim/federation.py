@@ -41,6 +41,7 @@ from .mlp import (
     TrainingDiverged,
     _ROW_CAP,
     accuracy_screen,
+    coalition_screen,
     init_params,
     sgd_train_rows,
     stack_accuracy,
@@ -221,10 +222,12 @@ class ModelEvaluator:
     def __call__(self, model: ModelParams) -> float:
         return float(self.evaluate_stack(model.values[None])[0])
 
-    def evaluate_stack(self, stack: np.ndarray) -> np.ndarray:
+    def evaluate_stack(self, stack: np.ndarray, coalitions=None) -> np.ndarray:
         """Utilities of the models in the rows of a (c, n_params) stack;
-        counts c evaluations.  Raises ModelError, counting nothing, when
-        the stack is not 2-D with one column per parameter."""
+        counts c evaluations.  ``coalitions`` is None, or the
+        :meth:`round_screen` of the round game whose coalition models the
+        stack holds.  Raises ModelError, counting nothing, when the stack
+        is not 2-D with one column per parameter."""
         if stack.ndim != 2 or stack.shape[1] != self.arch.n_params:
             raise ModelError(
                 f"model stack of shape {stack.shape} is not "
@@ -232,10 +235,24 @@ class ModelEvaluator:
             )
         self._count += len(stack)
         if self.utility_kind == "accuracy":
-            if self._screen is None:
-                self._screen = accuracy_screen(self.test)
-            return stack_accuracy(self.arch, stack, self.test, self._screen)
+            return stack_accuracy(self.arch, stack, self.test, self._accuracy_screen(),
+                                  coalitions)
         return -stack_mean_loss(self.arch, stack, self.test)
+
+    def round_screen(self, transcript: RoundTranscript):
+        """The test samples that a round's coalition models all get right,
+        or all get wrong, proven at once (``mlp.coalition_screen``); None
+        under neg_loss, or when none is proven.  Evaluates and counts
+        nothing."""
+        if self.utility_kind != "accuracy":
+            return None
+        terms = np.stack([transcript.m0.values] + [u.delta.values for u in transcript.updates])
+        return coalition_screen(self.arch, terms, self.test, self._accuracy_screen())
+
+    def _accuracy_screen(self):
+        if self._screen is None:
+            self._screen = accuracy_screen(self.test)
+        return self._screen
 
     @property
     def call_count(self) -> int:
@@ -259,6 +276,10 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
     coalition evaluates the unmodified start model.  Tabulating the whole
     game evaluates the coalition models in stacked chunks; every model
     and utility is bit-identical to evaluating its coalition alone.
+    Under accuracy, tabulation first settles the test samples that an
+    interval bound over all 2^N coalition models decides
+    (:meth:`ModelEvaluator.round_screen`), and the chunks evaluate only
+    the samples left open; each coalition still counts once.
     """
     deltas = [u.delta.values for u in transcript.updates]
     m0 = transcript.m0
@@ -272,7 +293,8 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
 
     def chunks():
         return _evaluate_chunks(
-            evaluator, range(1 << transcript.n_clients), _coalition_table(transcript)
+            evaluator, range(1 << transcript.n_clients), _coalition_table(transcript),
+            evaluator.round_screen(transcript),
         )
 
     return CoalitionOracle(transcript.n_clients, value, chunks, evaluator)
@@ -302,18 +324,22 @@ def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
     return table
 
 
-def _evaluate_chunks(evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray):
+def _evaluate_chunks(
+    evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray, coalitions=None
+):
     """Yield the utilities of the coalition models in the rows of
     ``models``, in row order, evaluated in stacks of contiguous rows
     (_TABULATION_CHUNK); ``masks`` names each row's coalition.  The rows
     are checked finite once: those before the first non-finite one are
     evaluated, and then its coalition is refused by name, as the
-    per-coalition game meets them."""
+    per-coalition game meets them.  ``coalitions``, a round game's
+    :meth:`ModelEvaluator.round_screen`, goes to every stack, which then
+    screens only the test samples it left open."""
     finite = np.isfinite(models).all(axis=1)
     stop = len(models) if finite.all() else int(np.argmin(finite))
     chunk = _TABULATION_CHUNK[evaluator.utility_kind]
     for lo in range(0, stop, chunk):
-        yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)])
+        yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)], coalitions)
     _check_models(masks[stop:], models[stop:])
 
 

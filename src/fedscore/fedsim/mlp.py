@@ -236,11 +236,167 @@ def accuracy_screen(data: LabeledDataset) -> tuple[np.ndarray, np.ndarray, np.nd
     return norms, data.labels * n + np.arange(n), x32t
 
 
+def coalition_screen(
+    arch: MlpArch,
+    terms: np.ndarray,
+    data: LabeledDataset,
+    screen: tuple[np.ndarray, np.ndarray, np.ndarray],
+):
+    """Settle test samples for every coalition of a round game at once.
+
+    ``terms`` is (N+1, n_params): the round's start model m0, then its N
+    scaled updates U_j.  Coalition S's model is m0 + sum_{j in S} U_j,
+    formed in float64 by an ascending fold (the rows of
+    ``federation._coalition_table``).  A sample is settled correct when
+    its label's float64 logit beats every other class's for all 2^N
+    coalition models, and settled wrong when one other class beats the
+    label's for all of them.  Returns None when nothing settles, else
+    ``(open, screen, correct)``: the samples left open as a dataset, their
+    part of ``screen`` (the test set's :func:`accuracy_screen`) and the
+    count settled correct, which :func:`stack_accuracy` takes as
+    ``coalitions``.
+
+    With u = 2^-53, x^_i = [x_i, 1], V = [W1; b1] as one (d+1, H) block,
+    M = |m0| + sum_j |U_j| and, for each sample,
+    r(i) = (||x_i||_2 + 1) max_h ||M_V[:,h]||_2 >= max_h |x^_i| M_V[:,h],
+    the bound is built term by term:
+
+    * first layer: every coalition's pre-activation is a_0 + sum_{j in S}
+      c_j, with a_0 = x^ V_0 and c_j = x^ V_j, so it lies in
+      centre +- radius, centre = x^ (V_0 + sum_j V_j / 2) and radius =
+      sum_j |c_j| / 2: one GEMM per update, each small enough that
+      OpenBLAS runs it on one thread.  Both are formed within
+      e_1(i) = 2.02 (d+N+2) u r(i);
+    * tanh: it is monotone and 1-Lipschitz, so every hidden unit lies in
+      [tanh(centre - radius), tanh(centre + radius)], widened by
+      e_1(i) + eps_64 (float64 ``np.tanh``'s error) and clipped to
+      [-1, 1], and then in mid +- half, half taking 2^-50 more for
+      forming mid and half;
+    * second layer: the difference of the label's logit and class k's is
+      sum_h D_h t_h + beta with D = W2[:,y] - W2[:,k] and beta = b2_y - b2_k,
+      each in its own centre +- radius over the coalitions as above, so it
+      lies in gap +- spread, gap = mid D_c + beta_c and
+      spread = half (|D_c| + D_r) + |mid| D_r + beta_r.  With
+      w = max_k (||M_W2[:,k]||_1 + M_b2[k]) and every factor of mid and half
+      within 1 + 2^-49, forming them rounds by at most
+      e_2 = 8.08 (N+H+5) u w.
+
+    The gap must then clear the margin
+
+        m(i) = 2.02 (fold(i) + B64(i)) + e_2 + 2^-990
+
+    on the side it settles: gap - spread > m(i) against every other class
+    (correct), or gap + spread < -m(i) against one (wrong), where, with
+    w' = max_k ||M_W2[:,k]||_1,
+
+    * fold(i) = 1.01 N u (w + w' r(i)): the table's fold puts each
+      coalition's parameters within N u M of its exact sum, which moves a
+      logit by at most that much through W2 and b2 and through the first
+      layer (tanh is 1-Lipschitz, |tanh| <= 1);
+    * B64(i) = 1.02 [w' ((d+2) u r(i) + eps_64) + (H+2) u w]: the bound of
+      :func:`stack_accuracy` on any float64 logit of a model no larger
+      than M, which covers the full float64 pass and the refinement;
+    * e_2 the bound's own rounding, 2.02 the rounding of m(i) and of the
+      other terms, and 2^-990 underflow.
+
+    Two logits each move by fold + B64, so the label leads alone in the
+    float64 pass of every coalition, or trails there.  Nothing settles on
+    a tie (the margin is positive), on a non-finite value (no comparison
+    holds), or when M or a feature norm reaches 2^60/(d+H); below that no
+    step overflows and no coalition model can.
+    """
+    norms, _, x32t = screen
+    right, wrong = _coalition_bound(arch, terms, data, norms)
+    settled = right | wrong
+    if not settled.any():
+        return None
+    left = np.flatnonzero(~settled)
+    part = LabeledDataset(data.features[left], data.labels[left], data.n_classes)
+    part_screen = (norms[left], part.labels * len(left) + np.arange(len(left)),
+                   np.ascontiguousarray(x32t[:, left]))
+    return part, part_screen, int(np.count_nonzero(right))
+
+
+def _coalition_bound(arch, terms, data, norms):
+    """(right, wrong), each (samples,): the samples :func:`coalition_screen`
+    proves correct, and wrong, for every coalition; ``norms`` are the
+    samples' feature norms."""
+    u = 2.0**-53
+    c, n = len(terms), data.n_samples
+    d, h, k = arch.in_dim, arch.hidden, arch.n_classes
+    limit = 2.0**60 / (d + h)
+    with np.errstate(over="ignore"):
+        mag = np.abs(terms).sum(axis=0)
+    if not (mag.max() < limit and norms.max(initial=0.0) < limit):
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    m_v = mag[: (d + 1) * h].reshape(d + 1, h)
+    reach = (norms + 1.0) * np.sqrt(np.einsum("dh,dh->h", m_v, m_v).max())
+    _, _, m_w2, m_b2 = _split(arch, mag)
+    w2_l1 = m_w2.sum(axis=0)
+    w_lin, w_all = w2_l1.max(), (w2_l1 + m_b2).max()
+
+    # First layer, centre and radius over the coalitions.  b1 follows W1
+    # in the packing, so x^ = [x, 1] takes it into each GEMM.
+    xhat = np.ones((n, d + 1))
+    xhat[:, :d] = data.features
+    v = terms[:, : (d + 1) * h].reshape(c, d + 1, h)
+    parts = xhat @ v[1:]
+    centre = xhat @ (v[0] + 0.5 * np.add.reduce(v[1:], axis=0))
+    np.abs(parts, out=parts)
+    radius = np.add.reduce(parts, axis=0)
+    radius *= 0.5
+    widen = (2.02 * (d + c + 1) * u * reach + _TANH64_ERR)[:, None]
+    low = np.tanh(centre - radius)
+    low -= widen
+    np.maximum(low, -1.0, out=low)
+    high = np.tanh(np.add(centre, radius, out=centre), out=centre)
+    high += widen
+    np.minimum(high, 1.0, out=high)
+    mid = high + low
+    mid *= 0.5
+    half = np.subtract(high, low, out=high)
+    half *= 0.5
+    half += 2.0**-50
+
+    # Second layer: every class pair's column difference, y*K + k for
+    # label y against class k, in centre and radius over the coalitions.
+    _, _, w2, b2 = _split(arch, terms)
+    w_gaps = (w2[..., :, None] - w2[..., None, :]).reshape(c, h, k * k)
+    b_gaps = (b2[:, :, None] - b2[:, None, :]).reshape(c, k * k)
+    w_mid = w_gaps[0] + 0.5 * np.add.reduce(w_gaps[1:], axis=0)
+    w_half = 0.5 * np.add.reduce(np.abs(w_gaps[1:]), axis=0)
+    b_mid = b_gaps[0] + 0.5 * np.add.reduce(b_gaps[1:], axis=0)
+    b_half = 0.5 * np.add.reduce(np.abs(b_gaps[1:]), axis=0)
+    spread = half @ (np.abs(w_mid) + w_half)
+    spread += np.abs(mid) @ w_half
+    spread += b_half
+    gap = mid @ w_mid
+    gap += b_mid
+    pairs = (data.labels * k)[:, None] + np.arange(k)
+    gap = np.take_along_axis(gap, pairs, axis=1)
+    spread = np.take_along_axis(spread, pairs, axis=1)
+
+    fold = 1.01 * (c - 1) * u * (w_all + w_lin * reach)
+    b64 = 1.02 * (w_lin * ((d + 2) * u * reach + _TANH64_ERR) + (h + 2) * u * w_all)
+    margin = 2.02 * (fold + b64) + 8.08 * (c + h + 4) * u * w_all + 2.0**-990
+    low_gap, high_gap = gap - spread, gap + spread
+    # The label's own column (gap and spread 0) joins neither test.
+    own = data.labels == 0
+    right = own | (low_gap[:, 0] > margin)
+    wrong = ~own & (high_gap[:, 0] < -margin)
+    for j in range(1, k):
+        own = data.labels == j
+        right &= own | (low_gap[:, j] > margin)
+        wrong |= ~own & (high_gap[:, j] < -margin)
+    return right, wrong
+
+
 def stack_accuracy(
     arch: MlpArch,
     stack: np.ndarray,
     data: LabeledDataset,
     screen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    coalitions: tuple[LabeledDataset, tuple, int] | None = None,
 ) -> np.ndarray:
     """Accuracy of every model in a stack (ties toward the lower class),
     bit-identical to the argmax of its float64 logits.
@@ -296,8 +452,18 @@ def stack_accuracy(
     default's 2,600 one-model evaluations (master seed 2, replayed on one
     CPU of a 2-vCPU Xeon, best of 5) took 150 us per call screened against
     192 us in float64, and none needed the full pass.
+
+    When the stack holds coalition models of one round game,
+    ``coalitions`` (its :func:`coalition_screen`) has already settled
+    some samples for all of them: the screen, the refinement and the
+    exact test above then see only the samples it left open, and each
+    model's count adds the samples it proved correct.  A model sent to
+    the full float64 pass still takes it over every sample.
     """
     norms, offsets, x32t = accuracy_screen(data) if screen is None else screen
+    found, part_data = 0, data
+    if coalitions is not None:
+        part_data, (norms, offsets, x32t), found = coalitions
     exact = np.ones(len(stack), dtype=bool)
     limit = 2.0**60 / (arch.in_dim + arch.hidden)
     if norms.max(initial=0.0) < limit:
@@ -306,13 +472,16 @@ def stack_accuracy(
         return _float64_accuracy(arch, stack, data)
     screened = ~exact
     part = stack[screened] if exact.any() else stack
-    correct, settled = _float32_accuracy(arch, part, data, norms, offsets, x32t)
-    if not settled.all():
-        _float64_refinement(arch, part, data, correct, settled)
-        exact[screened] = ~settled.all(axis=1)
+    correct, settled = _float32_accuracy(arch, part, part_data, norms, offsets, x32t)
+    done = settled.all(axis=1)
+    if not done.all():
+        rows = np.flatnonzero(~done)
+        _float64_refinement(arch, part, part_data, correct, settled, rows)
+        done[rows] = settled[rows].all(axis=1)
+        exact[screened] = ~done
     acc = np.empty(len(stack))
     # The count of correct samples is exact, so this is np.mean's value.
-    acc[screened] = np.count_nonzero(correct, axis=1) / data.n_samples
+    acc[screened] = (found + np.count_nonzero(correct, axis=1)) / data.n_samples
     if exact.any():
         acc[exact] = _float64_accuracy(arch, stack[exact], data)
     return acc
@@ -367,13 +536,15 @@ def _float32_accuracy(arch, stack, data, norms, offsets, x32t):
     return picked == top, np.minimum(picked, second) < low
 
 
-def _float64_refinement(arch, stack, data, correct, settled):
+def _float64_refinement(arch, stack, data, correct, settled, open_models):
     """Settle in float64 the samples the float32 screen left open, each on
-    its own, updating ``correct`` and ``settled`` in place.  See
-    :func:`stack_accuracy`."""
+    its own, updating ``correct`` and ``settled`` in place;
+    ``open_models`` are the ascending rows of ``stack`` with an open
+    sample, so only they are searched.  See :func:`stack_accuracy`."""
     u = 2.0**-53
     d, h = arch.in_dim, arch.hidden
-    open_rows, open_samples = np.nonzero(~settled)
+    row_of, open_samples = np.nonzero(~settled[open_models])
+    open_rows = open_models[row_of]
     for lo in range(0, len(open_rows), _REFINED_PAIRS):
         rows = open_rows[lo : lo + _REFINED_PAIRS]
         samples = open_samples[lo : lo + _REFINED_PAIRS]

@@ -226,8 +226,10 @@ class TableGame:
                 f"expected {2**self.n_clients} utilities for {self.n_clients} "
                 f"clients, got shape {table.shape}"
             )
-        if not np.all(np.isfinite(table)):
-            raise GameError("game table contains non-finite utilities")
+        finite = np.isfinite(table)
+        if not finite.all():
+            mask = int(np.argmin(finite))
+            _finite_utility(mask, table[mask])
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "table", table)

@@ -139,6 +139,20 @@ class TestTableGame:
         with pytest.raises(GameError, match=r"coalition \(0,\) is not finite: nan"):
             TableGame.from_values(1, values)
 
+    @pytest.mark.parametrize("n_clients, table, message", [
+        pytest.param(1, [0.0, math.nan], r"coalition \(0,\) is not finite: nan",
+                     id="nan"),
+        pytest.param(2, [0.0, 1.0, math.inf, math.nan],
+                     r"coalition \(1,\) is not finite: inf", id="inf-before-nan"),
+        pytest.param(2, [-math.inf, 1.0, 2.0, 3.0],
+                     r"coalition \(\) is not finite: -inf", id="empty-coalition"),
+    ])
+    def test_non_finite_table_is_refused_by_its_first_bad_coalition(
+        self, n_clients, table, message
+    ):
+        with pytest.raises(GameError, match=message):
+            TableGame(n_clients, table)
+
     def test_coalition_given_twice_rejected(self):
         with pytest.raises(GameError, match="mask 1 specified twice"):
             TableGame.from_values(1, {0: 0.0, 1: 1.0, (0,): 1.0})

@@ -221,8 +221,8 @@ def test_nan_utility_in_a_worker_fails_the_run_as_in_process(pools, tmp_path):
     # the 2N+2 probe set, reads NaN for its last coalition.
     real = federation.ModelEvaluator.evaluate_stack
 
-    def evaluate_stack(self, stack):
-        utilities = real(self, stack)
+    def evaluate_stack(self, stack, *args):
+        utilities = real(self, stack, *args)
         if len(stack) > 1:
             utilities[-1] = np.nan
         return utilities
