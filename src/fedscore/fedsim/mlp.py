@@ -566,23 +566,6 @@ def _float64_refinement(arch, stack, data, correct, settled, open_models):
         settled[rows, samples] = np.minimum(picked, second) < top - band
 
 
-def mean_loss(arch: MlpArch, params: ModelParams, data: LabeledDataset) -> float:
-    """Mean softmax cross-entropy over the dataset."""
-    return float(stack_mean_loss(arch, params.values[None], data)[0])
-
-
-def loss_and_grad(
-    arch: MlpArch, params: ModelParams, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy on a batch and its gradient as one flat vector."""
-    grad = np.empty((1, arch.n_params))
-    loss = _stack_loss_and_grad(
-        _split(arch, params.values[None]), _split(arch, grad),
-        np.asarray(features)[None], np.asarray(labels)[None],
-    )
-    return float(loss[0]), grad[0]
-
-
 def _stack_loss_and_grad(params, grads, features, labels) -> np.ndarray:
     """Mean cross-entropy of every model in a stack, each on its own batch.
 

@@ -4,7 +4,9 @@ A game assigns a real utility to every subset of clients.  Coalitions are
 bitmasks over client indices 0..N-1, so a full game is a table of 2^N
 values indexed by mask.  Everything downstream (contribution scores, the
 federated simulator's retraining games, the per-round aggregate games)
-speaks to a game only through :class:`CoalitionOracle`, which counts and
+speaks to a game only through :class:`CoalitionOracle`, by one batch
+request for a list of masks: the 2N+2 probe set is one request, and a
+full tabulation the request for all 2^N masks.  The oracle counts and
 logs every evaluation.  That audit trail is what lets tests pin down the
 exact evaluation budget of each scoring method.
 """
@@ -61,35 +63,13 @@ class Coalition:
             mask |= 1 << i
         return cls(mask)
 
-    @classmethod
-    def grand(cls, n_clients: int) -> "Coalition":
-        """The coalition of all clients 0..n_clients-1."""
-        if n_clients < 1:
-            raise GameError(f"need at least one client, got {n_clients}")
-        return cls((1 << n_clients) - 1)
-
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
 
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, client: int) -> bool:
-        return client >= 0 and bool((self.mask >> client) & 1)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def remove(self, client: int) -> "Coalition":
-        if client not in self:
-            raise GameError(f"client {client} is not in coalition {self.members}")
-        return Coalition(self.mask & ~(1 << client))
-
 
 class CoalitionOracle:
-    """Wraps a coalition utility function and audits every evaluation.
+    """Wraps a game's batch utility function and audits every evaluation.
 
     ``call_count`` goes up by exactly one per evaluated coalition and the
     mask of every evaluated coalition lands in the audit log, so a test can
@@ -101,14 +81,11 @@ class CoalitionOracle:
 
     Args:
         n_clients: size of the player set; coalitions must stay within it.
-        fn: the utility function, called with a :class:`Coalition`.
-        chunks: optional batch path for :meth:`tabulate`; called with no
-            arguments, it yields utility arrays whose concatenation is
-            every coalition's utility in mask order.  Round games use it
-            to evaluate stacked coalition models, retraining games to
-            train every coalition in lockstep; either way each utility
-            must be the one ``fn`` returns for that coalition.
-        evaluator: optional model evaluator that tabulation counts its
+        utilities: the game, called with a sequence of masks; it yields
+            utility arrays whose concatenation is each mask's utility, in
+            request order.  Round games evaluate stacked coalition models,
+            retraining games train every coalition in lockstep.
+        evaluator: optional model evaluator that the game counts its
             evaluations on (anything with ``call_count`` and
             ``add_calls``); :func:`shapley_exact_all` adds a worker's
             count to it.
@@ -117,15 +94,13 @@ class CoalitionOracle:
     def __init__(
         self,
         n_clients: int,
-        fn: Callable[[Coalition], float],
-        chunks: Callable[[], Iterable[np.ndarray]] | None = None,
+        utilities: Callable[[Sequence[int]], Iterable[np.ndarray]],
         evaluator=None,
     ):
         if n_clients < 1:
             raise GameError(f"need at least one client, got {n_clients}")
         self.n_clients = int(n_clients)
-        self._fn = fn
-        self._chunks = chunks
+        self._utilities = utilities
         self.evaluator = evaluator
         self._count = 0
         self._audit: list[int] = []
@@ -134,43 +109,44 @@ class CoalitionOracle:
         self._count += len(masks)
         self._audit.extend(masks)
 
-    def evaluate(self, coalition: Coalition) -> float:
-        if coalition.mask >> self.n_clients:
-            raise GameError(
-                f"coalition {coalition.members} has members outside "
-                f"0..{self.n_clients - 1}"
-            )
-        self._record([coalition.mask])
-        return _finite_utility(coalition.mask, self._fn(coalition))
-
-    def tabulate(self) -> np.ndarray:
-        """Every coalition's utility, indexed by mask, each evaluated and
-        audited once, in mask order, as its utility arrives.  Raises
-        GameError at the first non-finite utility, or when the batch path
-        yields more than 2^N utilities; a short table fails the 2^N audit
-        of :func:`shapley_exact`."""
+    def utilities(self, masks: Sequence[int]) -> np.ndarray:
+        """The utility of each mask in ``masks``, in request order, each
+        evaluated and audited as its utility arrives; a repeated mask is
+        evaluated and counted again.  Raises GameError before evaluating
+        anything when a mask lies outside the game (a ``range`` is checked
+        at its ends), at the first non-finite utility, and when the game
+        yields more utilities than were asked for.  A short answer is
+        returned short."""
         n = self.n_clients
-        if n > MAX_ENUM_CLIENTS:
-            raise GameError(
-                f"exact enumeration capped at {MAX_ENUM_CLIENTS} clients, got {n}"
-            )
-        chunks = (self._chunks() if self._chunks is not None
-                  else ([self._fn(Coalition(mask))] for mask in range(2**n)))
-        values = np.empty(2**n)
+        checked = (masks[0], masks[-1]) if isinstance(masks, range) and masks else masks
+        for mask in checked:
+            if not 0 <= mask < 1 << n:
+                raise GameError(f"coalition {Coalition(mask).members} has members "
+                                f"outside 0..{n - 1}")
+        values = np.empty(len(masks))
         done = 0
-        for chunk in chunks:
+        for chunk in self._utilities(masks):
             chunk = np.asarray(chunk, dtype=np.float64)
-            if done + len(chunk) > 2**n:
-                raise GameError(f"tabulation yielded more than {2**n} "
-                                f"utilities for a game of {n} clients")
-            self._record(range(done, done + len(chunk)))
+            if done + len(chunk) > len(values):
+                raise GameError(f"a game of {n} clients yielded more than "
+                                f"{len(values)} utilities for {len(values)} masks")
+            self._record(masks[done : done + len(chunk)])
             finite = np.isfinite(chunk)
             if not finite.all():
                 k = int(np.argmin(finite))
-                _finite_utility(done + k, chunk[k])
+                _finite_utility(masks[done + k], chunk[k])
             values[done : done + len(chunk)] = chunk
             done += len(chunk)
         return values[:done]
+
+    def tabulate(self) -> np.ndarray:
+        """Every coalition's utility, indexed by mask: :meth:`utilities` of
+        ``range(2^N)``, capped at MAX_ENUM_CLIENTS clients.  A short table
+        fails the 2^N audit of :func:`shapley_exact`."""
+        if self.n_clients > MAX_ENUM_CLIENTS:
+            raise GameError(f"exact enumeration capped at {MAX_ENUM_CLIENTS} "
+                            f"clients, got {self.n_clients}")
+        return self.utilities(range(2**self.n_clients))
 
     @property
     def call_count(self) -> int:
@@ -262,18 +238,10 @@ class TableGame:
             raise GameError(f"missing utility for coalition mask {int(np.argmin(given))}")
         return cls(n_clients, table)
 
-    def value(self, coalition: Coalition) -> float:
-        if coalition.mask >> self.n_clients:
-            raise GameError(
-                f"coalition {coalition.members} out of range for "
-                f"{self.n_clients} clients"
-            )
-        return float(self.table[coalition.mask])
-
     def oracle(self) -> CoalitionOracle:
-        """A fresh auditing oracle over this table; tabulating it hands
-        over the whole table as one chunk."""
-        return CoalitionOracle(self.n_clients, self.value, lambda: [self.table])
+        """A fresh auditing oracle over this table; it answers a request
+        by indexing the table."""
+        return CoalitionOracle(self.n_clients, lambda masks: [np.take(self.table, masks)])
 
 
 @dataclass(frozen=True)

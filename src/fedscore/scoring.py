@@ -27,7 +27,6 @@ import numpy as np
 
 from .games import (
     SHAPLEY_MAX_CLIENTS,
-    Coalition,
     CoalitionOracle,
     ScoreVector,
     TableGame,
@@ -118,22 +117,21 @@ class EeNumerators(NamedTuple):
     gamma: np.ndarray
 
 
-def _probe_set(n: int, value: Callable[[Coalition], float]) -> RoundUtilities:
-    """The 2N+2 utilities secure aggregation exposes, from exactly 2N+2
-    calls of ``value`` in this order: the empty coalition, the grand
+def _probe_set(oracle: CoalitionOracle) -> RoundUtilities:
+    """The 2N+2 utilities secure aggregation exposes, from one request of
+    exactly 2N+2 masks in this order: the empty coalition, the grand
     coalition, each singleton, each drop-one coalition."""
-    grand = Coalition.grand(n)
-    v_empty = value(Coalition(0))
-    v_grand = value(grand)
-    v_with = np.array([value(Coalition.of([i])) for i in range(n)])
-    v_without = np.array([value(grand.remove(i)) for i in range(n)])
-    return RoundUtilities(v_empty, v_grand, v_with, v_without)
+    n = oracle.n_clients
+    grand = (1 << n) - 1
+    masks = [0, grand, *(1 << i for i in range(n)), *(grand ^ (1 << i) for i in range(n))]
+    values = oracle.utilities(masks)
+    return RoundUtilities(values[0], values[1], values[2 : n + 2], values[n + 2 :])
 
 
 def game_round_utilities(game: TableGame) -> RoundUtilities:
     """The secure-aggregation view of an explicit game: empty, grand,
     singletons, and drop-one coalitions."""
-    return _probe_set(game.n_clients, game.value)
+    return _probe_set(game.oracle())
 
 
 def _loo_masses(v_grand, v_empty, v_with, v_without) -> dict:
@@ -325,10 +323,11 @@ def utilities_from_transcript(
 ) -> RoundUtilities:
     """Collect the round's 2N+2 observable utilities.
 
-    Evaluates, in order: the empty coalition, the grand coalition, each
-    singleton, each drop-one coalition.  Exactly 2N+2 oracle calls.
+    One request to the round game (:func:`_probe_set`): the empty
+    coalition, the grand coalition, each singleton, each drop-one
+    coalition.  Exactly 2N+2 evaluator calls.
     """
-    return _probe_set(transcript.n_clients, round_oracle(transcript, evaluator).evaluate)
+    return _probe_set(round_oracle(transcript, evaluator))
 
 
 def mr_shapley_games(

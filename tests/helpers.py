@@ -3,6 +3,7 @@
 import numpy as np
 
 from fedscore import TableGame
+from fedscore.fedsim import mlp
 
 # The worked 3-client example: additive with per-client values (0, 1, 2).
 WORKED_VALUES = {
@@ -15,6 +16,17 @@ WORKED_VALUES = {
     0b110: 3.0,
     0b111: 3.0,
 }
+
+
+def loss_and_grad(arch, params, features, labels):
+    """One model's mean cross-entropy on a batch and its gradient as one
+    flat vector, through the stacked trainer's kernel."""
+    grad = np.empty((1, arch.n_params))
+    loss = mlp._stack_loss_and_grad(
+        mlp._split(arch, params.values[None]), mlp._split(arch, grad),
+        np.asarray(features)[None], np.asarray(labels)[None],
+    )
+    return float(loss[0]), grad[0]
 
 
 def worked_game() -> TableGame:

@@ -42,14 +42,14 @@ from fedscore.fedsim import (
     RoundTranscript,
     generate_synthetic,
     init_params,
-    loss_and_grad,
-    mean_loss,
 )
+from fedscore.fedsim.mlp import stack_mean_loss
 from fedscore.scenarios import bundled_path
 
 from helpers import (
     additive_game,
     insert_null,
+    loss_and_grad,
     random_game,
     swap_clients,
     worked_game,
@@ -303,8 +303,8 @@ def test_mlp_gradients_match_central_differences():
         for k in rng.choice(arch.n_params, size=20, replace=False):
             step = np.zeros(arch.n_params)
             step[k] = h
-            up = mean_loss(arch, ModelParams(params.values + step), data)
-            dn = mean_loss(arch, ModelParams(params.values - step), data)
+            up = stack_mean_loss(arch, (params.values + step)[None], data)[0]
+            dn = stack_mean_loss(arch, (params.values - step)[None], data)[0]
             fd = (up - dn) / (2.0 * h)
             rel = abs(float(grad[k]) - fd) / max(abs(float(grad[k])), abs(fd), 1e-8)
             assert rel < 1e-4, f"coordinate {k}: analytic {grad[k]}, central {fd}"

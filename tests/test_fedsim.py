@@ -38,8 +38,6 @@ from fedscore.fedsim import (
     iid_partition,
     init_params,
     load_transcripts,
-    loss_and_grad,
-    mean_loss,
     model_eval_oracle,
     round_oracle,
     run_federation,
@@ -49,8 +47,10 @@ from fedscore.fedsim import (
 from fedscore.fedsim import data as data_module
 from fedscore.fedsim import federation, mlp
 from fedscore.fedsim import test_set_for as config_test_set
+from fedscore.fedsim.mlp import stack_mean_loss
 
 from conftest import TINY_SPEC, tiny_config
+from helpers import loss_and_grad
 
 # Archive values: signed zeros, subnormals and magnitudes up to 1e300.
 ARCHIVE_FLOATS = st.one_of(
@@ -265,7 +265,7 @@ class TestMlp:
         logits = mlp._forward_stack(self.ARCH, params.values[None], feats)[0]
         logp = scipy.special.log_softmax(logits, axis=1)
         expect = float(-logp[np.arange(10), labels].mean())
-        assert abs(mean_loss(self.ARCH, params, data) - expect) < 1e-12
+        assert abs(stack_mean_loss(self.ARCH, params.values[None], data)[0] - expect) < 1e-12
 
     def test_loss_and_grad_loss_agrees_with_mean_loss(self):
         rng = np.random.default_rng(16)
@@ -274,7 +274,7 @@ class TestMlp:
         labels = rng.integers(0, 3, size=8)
         data = LabeledDataset(feats, labels, 3)
         loss, _ = loss_and_grad(self.ARCH, params, feats, labels)
-        assert abs(loss - mean_loss(self.ARCH, params, data)) < 1e-12
+        assert abs(loss - stack_mean_loss(self.ARCH, params.values[None], data)[0]) < 1e-12
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -316,7 +316,8 @@ class TestMlp:
         a = sgd_train(self.ARCH, params, train, **kw)
         b = sgd_train(self.ARCH, params, train, **kw)
         assert np.array_equal(a.values, b.values)
-        assert mean_loss(self.ARCH, a, train) < mean_loss(self.ARCH, params, train)
+        assert (stack_mean_loss(self.ARCH, a.values[None], train)[0]
+                < stack_mean_loss(self.ARCH, params.values[None], train)[0])
 
     def test_sgd_divergence_raises(self):
         # a model already at the overflow edge: every output weight is huge
@@ -441,7 +442,7 @@ class TestEvaluatorAndOracles:
         m = transcripts[-1].m
         neg = model_eval_oracle(test, "neg_loss")(m)
         acc = model_eval_oracle(test, "accuracy")(m)
-        assert abs(neg - (-mean_loss(arch, m, test))) < 1e-12
+        assert abs(neg - (-stack_mean_loss(arch, m.values[None], test)[0])) < 1e-12
         assert abs(acc - mlp.stack_accuracy(arch, m.values[None], test)[0]) < 1e-12
         with pytest.raises(FederationError):
             ModelEvaluator(arch, test, "auc")
@@ -451,8 +452,8 @@ class TestEvaluatorAndOracles:
         ev = model_eval_oracle(test, config.utility_kind)
         t = transcripts[0]
         oracle = round_oracle(t, ev)
-        assert oracle.evaluate(Coalition(0)) == ev(t.m0)
-        grand = oracle.evaluate(Coalition.grand(config.n_clients))
+        empty, grand = oracle.utilities([0, (1 << config.n_clients) - 1])
+        assert empty == ev(t.m0)
         assert abs(grand - ev(t.m)) < 1e-9
 
     def test_test_set_matches_run(self, tiny_run):
@@ -474,7 +475,7 @@ class TestRetrainingGame:
         game = RetrainingGame(config)
         transcripts, test = run_federation(config)
         ev = model_eval_oracle(test, config.utility_kind)
-        got = game.value(Coalition.grand(config.n_clients))
+        got = game.value(Coalition.of(range(config.n_clients)))
         assert abs(got - ev(transcripts[-1].m)) < 1e-12
 
     def test_out_of_range_coalition_rejected(self):
@@ -485,8 +486,7 @@ class TestRetrainingGame:
     def test_oracle_audits_over_memoised_game(self):
         game = RetrainingGame(tiny_config(rounds=1))
         oracle = game.oracle()
-        oracle.evaluate(Coalition.of([1]))
-        oracle.evaluate(Coalition.of([1]))
+        oracle.utilities([0b10, 0b10])
         assert oracle.call_count == 2  # the audit counts every call
 
     def test_client_cap_checked_before_training(self, monkeypatch):

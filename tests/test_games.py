@@ -20,6 +20,7 @@ from fedscore import (
     TableGame,
     load_table_game,
     save_table_game,
+    scoring,
     shapley_exact,
 )
 
@@ -39,24 +40,16 @@ def permutation_shapley(game: TableGame) -> np.ndarray:
     return totals / math.factorial(n)
 
 
+def popcount_game(masks):
+    """A batch game: each coalition's utility is its size, in one array."""
+    return [[bin(mask).count("1") for mask in masks]]
+
+
 class TestCoalition:
     def test_members_roundtrip(self):
         c = Coalition.of([0, 3, 5])
         assert c.members == (0, 3, 5)
-        assert c.size == 3
-        assert 3 in c and 1 not in c
-        assert list(c) == [0, 3, 5]
-
-    def test_grand(self):
-        assert Coalition.grand(4).members == (0, 1, 2, 3)
-        assert Coalition.grand(1).mask == 0b1
-
-    def test_add_remove(self):
-        c = Coalition.of([1])
-        assert Coalition.of([0, 1]).remove(1).members == (0,)
-        # remove is strict
-        with pytest.raises(GameError):
-            c.remove(0)
+        assert c.mask == 0b101001
 
     def test_negative_member_rejected(self):
         with pytest.raises(GameError):
@@ -65,41 +58,90 @@ class TestCoalition:
             Coalition(-1)
 
     def test_empty(self):
-        assert Coalition.of([]).size == 0
+        assert Coalition.of([]).mask == 0
         assert Coalition.of([]).members == ()
 
 
 class TestCoalitionOracle:
     def test_counts_every_call(self):
-        oracle = CoalitionOracle(3, lambda c: float(c.size))
-        for members in ([], [0], [0, 1], [0, 1, 2], [0]):
-            oracle.evaluate(Coalition.of(members))
+        oracle = CoalitionOracle(3, popcount_game)
+        got = oracle.utilities([0b000, 0b001, 0b011, 0b111, 0b001])
+        assert np.array_equal(got, [0, 1, 2, 3, 1])
         assert oracle.call_count == 5
         assert oracle.audit_log == (0b000, 0b001, 0b011, 0b111, 0b001)
 
-    def test_out_of_range_rejected(self):
-        oracle = CoalitionOracle(2, lambda c: 0.0)
-        with pytest.raises(GameError):
-            oracle.evaluate(Coalition.of([2]))
+    def test_request_keeps_order_and_audits_each_repeat(self):
+        # N = 1's probe set asks for empty, grand, singleton, drop-one.
+        oracle = TableGame(1, [0.25, 1.5]).oracle()
+        u = scoring._probe_set(oracle)
+        assert (u.v_empty, u.v_grand) == (0.25, 1.5)
+        assert list(u.v_with) == [1.5] and list(u.v_without) == [0.25]
+        assert oracle.audit_log == (0, 1, 1, 0)
+        assert oracle.call_count == 4
+
+    @pytest.mark.parametrize("masks, message", [
+        pytest.param([0, 4, 1], r"coalition \(2,\) has members outside 0\.\.1",
+                     id="list"),
+        pytest.param([3, -1], "mask must be nonnegative, got -1", id="negative"),
+        pytest.param(range(5), r"coalition \(2,\) has members outside", id="range"),
+        # 2^40 masks: a range is checked at its ends, not mask by mask.
+        pytest.param(range(2**40), r"coalition \(0, 1, .*, 39\) has members outside",
+                     id="huge-range"),
+    ])
+    def test_out_of_range_rejected(self, masks, message):
+        asked = []
+        oracle = CoalitionOracle(2, lambda masks: asked.append(masks) or [])
+        with pytest.raises(GameError, match=message):
+            oracle.utilities(masks)
+        assert asked == [] and oracle.audit_log == ()
 
     def test_non_finite_value_rejected(self):
-        oracle = CoalitionOracle(1, lambda c: float("nan"))
-        with pytest.raises(GameError):
-            oracle.evaluate(Coalition.of([0]))
+        oracle = CoalitionOracle(2, lambda masks: [[1.0, math.inf, math.nan]])
+        with pytest.raises(GameError, match=r"coalition \(0,\) is not finite: inf"):
+            oracle.utilities([3, 1, 2])
+        assert oracle.audit_log == (3, 1, 2)
+
+    @pytest.mark.parametrize("chunks, audited", [
+        pytest.param([[0.0, 0.0, 0.0]], (), id="past-in-one-chunk"),
+        pytest.param([[0.0], [0.0], [0.0]], (2, 1), id="one-at-a-time"),
+    ])
+    def test_a_game_that_answers_more_than_asked_is_refused(self, chunks, audited):
+        oracle = CoalitionOracle(2, lambda masks: chunks)
+        with pytest.raises(GameError, match=(
+                "a game of 2 clients yielded more than 2 utilities for 2 masks")):
+            oracle.utilities([2, 1])
+        assert oracle.audit_log == audited
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_a_raising_game_leaves_the_masks_before_it_audited(self, k):
+        masks = [5, 3, 3, 6]
+
+        def game(asked):
+            for j, mask in enumerate(asked):
+                if j == k:
+                    raise RuntimeError(f"mask {mask}")
+                yield [0.0]
+
+        oracle = CoalitionOracle(3, game)
+        with pytest.raises(RuntimeError, match=f"mask {masks[k]}"):
+            oracle.utilities(masks)
+        assert oracle.audit_log == tuple(masks[:k])
+        assert oracle.call_count == k
 
     def test_tabulation_audits_each_mask_in_order(self):
-        oracle = CoalitionOracle(4, lambda c: float(c.size))
+        oracle = CoalitionOracle(4, popcount_game)
         assert np.array_equal(oracle.tabulate(), [bin(m).count("1") for m in range(16)])
         assert oracle.audit_log == tuple(range(2**4))
 
     @pytest.mark.parametrize("k", [0, 5, 15])
     def test_tabulation_audits_only_the_coalitions_before_a_raising_fn(self, k):
-        def fn(c):
-            if c.mask == k:
-                raise RuntimeError(f"mask {k}")
-            return 0.0
+        def game(masks):
+            for mask in masks:
+                if mask == k:
+                    raise RuntimeError(f"mask {k}")
+                yield [0.0]
 
-        oracle = CoalitionOracle(4, fn)
+        oracle = CoalitionOracle(4, game)
         with pytest.raises(RuntimeError, match=f"mask {k}"):
             oracle.tabulate()
         assert oracle.audit_log == tuple(range(k))
@@ -108,10 +150,15 @@ class TestCoalitionOracle:
     def test_tabulation_refuses_the_first_non_finite_utility(self):
         values = np.zeros(8)
         values[[5, 6]] = (np.inf, np.nan)
-        oracle = CoalitionOracle(3, lambda c: 0.0, lambda: [values[:4], values[4:]])
+        oracle = CoalitionOracle(3, lambda masks: [values[:4], values[4:]])
         with pytest.raises(GameError, match=r"coalition \(0, 2\) is not finite: inf"):
             oracle.tabulate()
         assert oracle.audit_log == tuple(range(8))
+
+    def test_tabulation_is_capped_before_evaluating(self):
+        oracle = CoalitionOracle(21, lambda masks: pytest.fail("evaluated"))
+        with pytest.raises(GameError, match="capped at 20 clients, got 21"):
+            oracle.tabulate()
 
 
 class TestTableGame:
@@ -158,9 +205,8 @@ class TestTableGame:
             TableGame.from_values(1, {0: 0.0, 1: 1.0, (0,): 1.0})
 
     def test_value_lookup(self):
-        game = worked_game()
-        assert game.value(Coalition.of([1, 2])) == 3.0
-        assert game.value(Coalition.of([])) == 0.0
+        oracle = worked_game().oracle()
+        assert list(oracle.utilities([Coalition.of([1, 2]).mask, 0])) == [3.0, 0.0]
 
     def test_oracle_tabulation_cost(self):
         game = worked_game()
@@ -222,7 +268,7 @@ class TestShapley:
         def chunks():  # every coalition but the grand one
             yield game.table[:-1]
 
-        oracle = CoalitionOracle(game.n_clients, game.value, chunks)
+        oracle = CoalitionOracle(game.n_clients, lambda masks: chunks())
         with pytest.raises(GameError, match="7 evaluations, expected 8"):
             shapley_exact(oracle)
 
@@ -234,11 +280,10 @@ class TestShapley:
     ])
     def test_tabulation_past_two_to_the_n_is_refused(self, chunks, audited):
         game = TableGame(10, np.arange(2**10) ** 1.5)
-        oracle = CoalitionOracle(game.n_clients, game.value,
-                                 lambda: chunks(game.table))
+        oracle = CoalitionOracle(game.n_clients, lambda masks: chunks(game.table))
         with pytest.raises(GameError, match=(
-                "tabulation yielded more than 1024 utilities for a game of "
-                "10 clients")):
+                "a game of 10 clients yielded more than 1024 utilities for "
+                "1024 masks")):
             shapley_exact(oracle)
         assert oracle.audit_log == tuple(range(audited))
 
@@ -277,7 +322,7 @@ class TestGameFiles:
             "1 2.5\n"
         )
         game = load_table_game(path)
-        assert game.value(Coalition.of([0])) == 2.5
+        assert game.table[Coalition.of([0]).mask] == 2.5
 
     def test_duplicate_mask_rejected(self, tmp_path):
         path = tmp_path / "dup.game"

@@ -83,7 +83,7 @@ def test_grand_coalition_is_the_full_run(config):
     game = RetrainingGame(config)
     expect = game._evaluator(transcripts[-1].m)
     table = game.oracle().tabulate()
-    grand = Coalition.grand(config.n_clients)
+    grand = Coalition.of(range(config.n_clients))
     assert bits(table[grand.mask]) == bits(expect)
     # a fresh game that trains only the grand coalition agrees too
     assert bits(RetrainingGame(config).value(grand)) == bits(expect)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fedscore import (
-    Coalition,
     RoundUtilities,
     ScoringError,
     TableGame,
@@ -215,11 +214,11 @@ class TestTranscriptScoring:
         assert evaluator.call_count - before == 2 * n + 2
         # and the values really are the round game's coalitions
         oracle = round_oracle(transcripts[0], evaluator)
-        grand = Coalition.grand(n)
-        assert u.v_grand == oracle.evaluate(grand)
+        grand = (1 << n) - 1
+        assert u.v_grand == oracle.utilities([grand])[0]
         for i in range(n):
-            assert u.v_with[i] == oracle.evaluate(Coalition.of([i]))
-            assert u.v_without[i] == oracle.evaluate(grand.remove(i))
+            assert u.v_with[i] == oracle.utilities([1 << i])[0]
+            assert u.v_without[i] == oracle.utilities([grand & ~(1 << i)])[0]
 
     def test_cos_matches_hand_computation(self, tiny_run):
         config, transcripts, _ = tiny_run
@@ -266,9 +265,7 @@ class TestMrShapley:
         # tabulate the round game explicitly and solve it independently
         oracle = round_oracle(t, evaluator)
         n = config.n_clients
-        table = {
-            mask: oracle.evaluate(Coalition(mask)) for mask in range(2**n)
-        }
+        table = dict(enumerate(oracle.utilities(list(range(2**n)))))
         expect = shapley_exact(TableGame.from_values(n, table).oracle()).scores
         got = mr_shapley([t], evaluator)
         np.testing.assert_allclose(got.scores, expect, atol=1e-12)

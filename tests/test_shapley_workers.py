@@ -162,13 +162,13 @@ def test_killed_worker_breaks_the_call_and_leaves_no_worker(pools):
     pools(2)
     parent = os.getpid()
 
-    def utility(coalition):
+    def utilities(masks):
         if os.getpid() != parent:
             os._exit(3)
-        return 0.0
+        return [np.zeros(len(masks))]
 
     with pytest.raises(process.BrokenProcessPool):
-        shapley_exact_all([CoalitionOracle(2, utility) for _ in range(3)])
+        shapley_exact_all([CoalitionOracle(2, utilities) for _ in range(3)])
     assert multiprocessing.active_children() == []
 
 

@@ -25,11 +25,10 @@ from fedscore.fedsim import (
     SyntheticSpec,
     generate_synthetic,
     init_params,
-    mean_loss,
     round_oracle,
 )
 from fedscore.fedsim.federation import _coalition_table
-from fedscore.fedsim.mlp import stack_accuracy
+from fedscore.fedsim.mlp import stack_accuracy, stack_mean_loss
 from fedscore.games import shapley_exact_all
 from fedscore.scoring import (
     game_round_utilities,
@@ -115,7 +114,8 @@ def test_single_model_forward_matches_reference(kind):
         params = ModelParams(scale * rng.standard_normal(ARCH.n_params))
         expect = reference_utility(kind, params.values)
         direct = (stack_accuracy(ARCH, params.values[None], TEST)[0]
-                  if kind == "accuracy" else -mean_loss(ARCH, params, TEST))
+                  if kind == "accuracy"
+                  else -stack_mean_loss(ARCH, params.values[None], TEST)[0])
         assert bits(direct) == bits(expect)
         assert bits(evaluator(params)) == bits(expect)
 
@@ -195,6 +195,42 @@ def test_generated_transcripts_tabulate_bit_identically(kind, data):
     assert oracle.audit_log == tuple(range(2**n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_a_request_of_any_masks_reads_the_tabulated_rows(kind, data):
+    n = data.draw(st.integers(1, 4), label="n_clients")
+    (t,) = make_transcripts(n, arch=SMALL_ARCH)
+    masks = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=12), label="masks")
+    evaluator = ModelEvaluator(SMALL_ARCH, SMALL_TEST, kind)
+    oracle = round_oracle(t, evaluator)
+    got = oracle.utilities(masks)
+    assert np.array_equal(bits(got), bits(oracle.tabulate()[masks]))
+    assert oracle.audit_log == (*masks, *range(2**n))
+    assert evaluator.call_count == len(masks) + 2**n
+
+
+# perfbench/tracing.py audits the 2N+2 probe set by counting its
+# ModelEvaluator.__call__ spans; tabulation evaluates stacks instead.
+@pytest.mark.parametrize("kind", KINDS)
+def test_probe_set_calls_the_evaluator_once_per_model_and_tabulation_never(
+    kind, monkeypatch
+):
+    calls = []
+    call = ModelEvaluator.__call__
+    monkeypatch.setattr(ModelEvaluator, "__call__",
+                        lambda self, model: calls.append(model) or call(self, model))
+    (t,) = make_transcripts(5)
+    evaluator = ModelEvaluator(ARCH, TEST, kind)
+    utilities_from_transcript(t, evaluator)
+    assert len(calls) == 2 * 5 + 2
+    oracle = round_oracle(t, evaluator)
+    oracle.tabulate()
+    assert len(calls) == 2 * 5 + 2
+    oracle.utilities([0, 3, 3])
+    assert len(calls) == 2 * 5 + 2 + 3
+    assert evaluator.call_count == 2 * 5 + 2 + 2**5 + 3
+
+
 def _caught(fn):
     with pytest.raises(Exception) as info:
         fn()
@@ -214,8 +250,7 @@ def test_overflowing_coalition_model_is_refused_like_per_coalition_path():
     evaluator = ModelEvaluator(ARCH, TEST, "accuracy")
     per_coalition = round_oracle(t, evaluator)
     with np.errstate(over="ignore"):
-        single = _caught(lambda: [per_coalition.evaluate(Coalition(mask))
-                                  for mask in range(8)])
+        single = _caught(lambda: per_coalition.utilities(list(range(8))))
         batched = _caught(round_oracle(t, evaluator).tabulate)
         with pytest.raises(ModelError, match=r"\(0, 2\)"):
             mr_shapley([t], evaluator)
@@ -232,8 +267,7 @@ def test_non_finite_utility_is_refused_like_per_coalition_path():
     evaluator = ModelEvaluator(ARCH, TEST, "neg_loss")
     per_coalition = round_oracle(t, evaluator)
     with np.errstate(over="ignore"):
-        single = _caught(lambda: [per_coalition.evaluate(Coalition(mask))
-                                  for mask in range(2)])
+        single = _caught(lambda: per_coalition.utilities([0, 1]))
         batched = _caught(round_oracle(t, evaluator).tabulate)
     assert type(batched) is type(single) is GameError
     assert "(0,)" in str(batched)
