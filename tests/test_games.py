@@ -79,6 +79,13 @@ class TestCoalitionOracle:
         assert oracle.audit_log == (0, 1, 1, 0)
         assert oracle.call_count == 4
 
+    def test_out_of_range_rejected(self):
+        asked = []
+        oracle = CoalitionOracle(2, lambda masks: asked.append(masks) or [])
+        with pytest.raises(GameError, match=r"coalition \(2,\) has members outside"):
+            oracle.utilities([Coalition.of([2]).mask])
+        assert asked == [] and oracle.audit_log == ()
+
     @pytest.mark.parametrize("masks, message", [
         pytest.param([0, 4, 1], r"coalition \(2,\) has members outside 0\.\.1",
                      id="list"),
@@ -88,7 +95,7 @@ class TestCoalitionOracle:
         pytest.param(range(2**40), r"coalition \(0, 1, .*, 39\) has members outside",
                      id="huge-range"),
     ])
-    def test_out_of_range_rejected(self, masks, message):
+    def test_out_of_range_mask_in_a_request_rejected(self, masks, message):
         asked = []
         oracle = CoalitionOracle(2, lambda masks: asked.append(masks) or [])
         with pytest.raises(GameError, match=message):
