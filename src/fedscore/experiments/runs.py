@@ -297,10 +297,8 @@ def weights_from_scores(basis):
 
 
 def _weighted_model(transcript, weights):
-    deltas = [
-        u.delta.values * weights[u.client] for u in transcript.updates
-    ]
-    return ModelParams(transcript.m0.values + np.sum(deltas, axis=0))
+    deltas = transcript.updates * weights[:, None]
+    return ModelParams(transcript.m0.values + deltas.sum(axis=0))
 
 
 def _relabeled(scenario, rates, rounds):

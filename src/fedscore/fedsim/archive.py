@@ -5,13 +5,15 @@ An archive directory holds:
 * ``config.json``     -- the federation configuration, enough to regenerate
                          the synthetic test set when scoring later;
 * ``rounds/round_NNNN.bin`` -- one binary blob per round: a little-endian
-                         uint32 parameter dimension, then raw little-endian
-                         float64 vectors in the order start model, one
-                         scaled update per client (client order), aggregate;
+                         uint32 parameter dimension, then the rows of a
+                         little-endian float64 (N + 2, dim) array: the
+                         start model, the N rows of the transcript's
+                         updates, the aggregate;
 * ``manifest.json``    -- shapes plus a SHA-256 per blob and for the config,
                          checked on load.
 
-A transcript's k-th update is client k's, so client ids are implicit.
+Row k of a round's updates is client k's, so client ids are implicit.  The
+manifest's ``dim`` must be the parameter count of the config's model.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ import tempfile
 import numpy as np
 
 from .data import DataError, SyntheticSpec
-from .federation import (
-    ClientUpdate,
-    FederationConfig,
-    FederationError,
-    RoundTranscript,
-)
-from .mlp import ModelError, ModelParams
+from .federation import FederationConfig, FederationError, RoundTranscript
+from .mlp import MlpArch, ModelError, ModelParams
 
 _FORMAT_VERSION = 1
 _MANIFEST_KEYS = ("n_clients", "dim", "rounds", "config_sha256", "files")
@@ -112,13 +109,11 @@ def config_from_dict(raw: dict) -> FederationConfig:
 
 
 def _round_blob(transcript: RoundTranscript) -> bytes:
-    parts = [np.asarray([transcript.dim], dtype="<u4").tobytes()]
-    vectors = [transcript.m0.values]
-    vectors += [u.delta.values for u in transcript.updates]
-    vectors.append(transcript.m.values)
-    for vec in vectors:
-        parts.append(np.asarray(vec, dtype="<f8").tobytes())
-    return b"".join(parts)
+    header = np.asarray([transcript.dim], dtype="<u4")
+    rows = np.concatenate(
+        [transcript.m0.values[None], transcript.updates, transcript.m.values[None]]
+    )
+    return header.tobytes() + rows.astype("<f8").tobytes()
 
 
 def _parse_round_blob(
@@ -141,12 +136,8 @@ def _parse_round_blob(
     flat = np.frombuffer(blob[4:], dtype="<f8").reshape(n_clients + 2, dim)
     try:
         m0 = ModelParams(flat[0])
-        updates = tuple(
-            ClientUpdate(client=i, delta=ModelParams(flat[1 + i]))
-            for i in range(n_clients)
-        )
         m = ModelParams(flat[n_clients + 1])
-        return RoundTranscript(round=round_index, m0=m0, updates=updates, m=m)
+        return RoundTranscript(round_index, m0, flat[1 : n_clients + 1], m)
     except (ModelError, FederationError) as exc:
         raise ArchiveError(f"{name}: {exc}") from exc
 
@@ -219,6 +210,11 @@ def write_staged(dirpath, entries, write) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _model_dim(config: FederationConfig) -> int:
+    """The parameter count of the model a config trains."""
+    return MlpArch(config.dataset.dim, config.dataset.n_classes).n_params
+
+
 def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
     """Write an archive; the directory is created if needed.
 
@@ -231,11 +227,16 @@ def save_transcripts(dirpath, config: FederationConfig, transcripts) -> None:
         raise ArchiveError("nothing to save: no transcripts")
     if [t.round for t in transcripts] != list(range(1, len(transcripts) + 1)):
         raise ArchiveError("transcripts must cover rounds 1..R in order")
+    dim = _model_dim(config)
     for t in transcripts:
         if t.n_clients != config.n_clients:
             raise ArchiveError(
                 f"round {t.round} has {t.n_clients} clients, the config has "
                 f"{config.n_clients}"
+            )
+        if t.dim != dim:
+            raise ArchiveError(
+                f"round {t.round} has dim {t.dim}, the config's model has {dim} parameters"
             )
 
     write_staged(dirpath, _ENTRIES, lambda staging: _write_archive(
@@ -304,6 +305,12 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
             f"manifest.json: 'n_clients' {manifest['n_clients']} disagrees "
             f"with config.json n_clients {config.n_clients}"
         )
+    dim = _model_dim(config)
+    if manifest["dim"] != dim:
+        raise ArchiveError(
+            f"manifest.json: 'dim' {manifest['dim']} disagrees with the {dim} "
+            f"parameters of config.json's model"
+        )
 
     transcripts = []
     for t in range(1, manifest["rounds"] + 1):
@@ -313,8 +320,6 @@ def load_transcripts(dirpath) -> tuple[FederationConfig, list[RoundTranscript]]:
         blob = _read_member(dirpath, "rounds", name)
         if hashlib.sha256(blob).hexdigest() != manifest["files"][name]:
             raise ArchiveError(f"{name} does not match its manifest checksum")
-        transcripts.append(
-            _parse_round_blob(blob, name, t, config.n_clients, manifest["dim"])
-        )
+        transcripts.append(_parse_round_blob(blob, name, t, config.n_clients, dim))
     return config, transcripts
 

@@ -5,7 +5,8 @@ model, reports the scaled update U_i = (local - start) / N, and the server
 aggregates m = start + sum(U_i).  That makes the aggregate exactly the
 uniform average of the local models, and it makes "the model a coalition S
 would have produced this round" the simple vector start + sum_{i in S} U_i,
-which is what the per-round coalition games evaluate.
+which is what the per-round coalition games evaluate.  A round's transcript
+holds the N updates as one (N, dim) array whose row i is client i's U_i.
 
 Every random draw comes from a stream derived from (seed, fixed tag,
 round, client), so reruns are bit-identical and a retrained sub-federation
@@ -139,50 +140,38 @@ class FederationConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """One client's scaled update for one round."""
-
-    client: int
-    delta: ModelParams
-
-    def __post_init__(self):
-        if self.client < 0:
-            raise FederationError(f"negative client index {self.client}")
-
-
-@dataclass(frozen=True)
 class RoundTranscript:
-    """What the server knows after one round: start model, the scaled
-    updates (the k-th is client k's), and the aggregate.  Validates
-    m = m0 + sum(deltas)."""
+    """What the server knows after one round: the start model m0, the
+    scaled updates as one read-only float64 (N, dim) array whose row k is
+    client k's, and the aggregate m.  Validates m = m0 + sum of the rows."""
 
     round: int
     m0: ModelParams
-    updates: tuple[ClientUpdate, ...]
+    updates: np.ndarray
     m: ModelParams
 
     def __post_init__(self):
         if self.round < 1:
             raise FederationError(f"round indices are 1-based, got {self.round}")
-        if not self.updates:
-            raise FederationError("a round needs at least one client update")
-        updates = tuple(self.updates)
-        object.__setattr__(self, "updates", updates)
+        updates = np.array(self.updates, dtype=np.float64)
+        if updates.ndim != 2 or not len(updates):
+            raise FederationError(
+                f"updates must be a (clients, dim) array with a row per client, "
+                f"got shape {updates.shape}"
+            )
         dim = self.m0.dim
-        for k, u in enumerate(updates):
-            if u.client != k:
-                raise FederationError(
-                    f"update {k} is labelled client {u.client}; "
-                    f"a round's k-th update must be client k"
-                )
-            if u.delta.dim != dim:
-                raise FederationError(
-                    f"update of client {u.client} has dim {u.delta.dim}, "
-                    f"expected {dim}"
-                )
+        if updates.shape[1] != dim:
+            raise FederationError(f"updates have dim {updates.shape[1]}, expected {dim}")
+        finite = np.isfinite(updates).all(axis=1)
+        if not finite.all():
+            raise FederationError(
+                f"update of client {int(np.argmin(finite))} contains non-finite values"
+            )
+        updates.setflags(write=False)
+        object.__setattr__(self, "updates", updates)
         if self.m.dim != dim:
             raise FederationError(f"aggregate has dim {self.m.dim}, expected {dim}")
-        total = self.m0.values + np.sum([u.delta.values for u in updates], axis=0)
+        total = self.m0.values + updates.sum(axis=0)
         if not np.allclose(self.m.values, total, rtol=0.0, atol=AGGREGATION_TOL):
             raise FederationError(
                 "aggregate does not equal start model plus the sum of updates"
@@ -246,7 +235,7 @@ class ModelEvaluator:
         nothing."""
         if self.utility_kind != "accuracy":
             return None
-        terms = np.stack([transcript.m0.values] + [u.delta.values for u in transcript.updates])
+        terms = np.vstack([transcript.m0.values, transcript.updates])
         return coalition_screen(self.arch, terms, self.test, self._accuracy_screen())
 
     def _accuracy_screen(self):
@@ -272,7 +261,7 @@ def model_eval_oracle(test: LabeledDataset, utility_kind: str = "neg_loss") -> M
 def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> CoalitionOracle:
     """The round's coalition game: v(S) = evaluator(m0 + sum_{i in S} U_i).
 
-    Client i here means the i-th update in the transcript.  The empty
+    Client i here means row i of the transcript's updates.  The empty
     coalition evaluates the unmodified start model.  Every model and
     utility is bit-identical to building its coalition alone by the
     ascending fold and evaluating it alone.  A request for the whole game,
@@ -283,7 +272,7 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
     still counts once.  Any other request folds and evaluates its models
     one at a time.
     """
-    deltas = [u.delta.values for u in transcript.updates]
+    deltas = transcript.updates
     m0 = transcript.m0
 
     def utilities(masks):
@@ -320,10 +309,9 @@ def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
     fold the per-coalition game computes, so each row is bit-identical
     to it.
     """
-    deltas = [u.delta.values for u in transcript.updates]
-    table = np.empty((1 << len(deltas), transcript.dim))
+    table = np.empty((1 << transcript.n_clients, transcript.dim))
     table[0] = transcript.m0.values
-    for j, delta in enumerate(deltas):
+    for j, delta in enumerate(transcript.updates):
         np.add(table[: 1 << j], delta, out=table[1 << j : 2 << j])
     return table
 
@@ -422,22 +410,17 @@ def run_federations(
             lr=config.lr, batch_size=config.batch_size,
         )
         for f in range(live):
+            # Row i is client i's scaled update; a diverged client i fails
+            # unless a lower client's update is already non-finite.
+            block = (local[f * n : (f + 1) * n] - m0[f].values) * scale
+            i = n if diverged is None else diverged.row - f * n
             try:
-                updates = []
-                for i in range(n):
-                    row = f * n + i
-                    if diverged is not None and diverged.row == row:
-                        raise TrainingDiverged(
-                            f"client {i} diverged in round {t}: {diverged}", round=t
-                        ) from diverged
-                    delta = ModelParams((local[row] - m0[f].values) * scale)
-                    updates.append(ClientUpdate(client=i, delta=delta))
-                m = ModelParams(
-                    m0[f].values + np.sum([u.delta.values for u in updates], axis=0)
-                )
-                transcripts[f].append(
-                    RoundTranscript(round=t, m0=m0[f], updates=tuple(updates), m=m)
-                )
+                if i < n and np.isfinite(block[:i]).all():
+                    raise TrainingDiverged(
+                        f"client {i} diverged in round {t}: {diverged}", round=t
+                    ) from diverged
+                m = ModelParams(m0[f].values + block.sum(axis=0))
+                transcripts[f].append(RoundTranscript(round=t, m0=m0[f], updates=block, m=m))
                 m0[f] = m
             except (TrainingDiverged, ModelError, FederationError) as exc:
                 # every later failure belongs to a lower run, and wins

@@ -102,11 +102,9 @@ class CoalitionOracle:
         self.n_clients = int(n_clients)
         self._utilities = utilities
         self.evaluator = evaluator
-        self._count = 0
         self._audit: list[int] = []
 
     def _record(self, masks: Sequence[int]) -> None:
-        self._count += len(masks)
         self._audit.extend(masks)
 
     def utilities(self, masks: Sequence[int]) -> np.ndarray:
@@ -150,7 +148,7 @@ class CoalitionOracle:
 
     @property
     def call_count(self) -> int:
-        return self._count
+        return len(self._audit)
 
     @property
     def audit_log(self) -> tuple[int, ...]:

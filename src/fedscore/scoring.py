@@ -293,7 +293,7 @@ def cos_score(transcript: RoundTranscript) -> ScoreVector:
     out = np.empty(transcript.n_clients)
     norm_m = float(np.linalg.norm(m))
     for i, update in enumerate(transcript.updates):
-        probe = m0 + update.delta.values
+        probe = m0 + update
         norm_p = float(np.linalg.norm(probe))
         if norm_m == 0.0 or norm_p == 0.0:
             out[i] = 0.0

@@ -10,7 +10,6 @@ failure this sequential order meets first.
 import numpy as np
 
 from fedscore.fedsim import (
-    ClientUpdate,
     ModelParams,
     RoundTranscript,
     TrainingDiverged,
@@ -84,7 +83,7 @@ def federate(config, members=None):
     transcripts = []
     for t in range(1, config.rounds + 1):
         updates = []
-        for k, i in enumerate(members):
+        for i in members:
             try:
                 local = sgd(
                     arch, m0.values, shards[i],
@@ -97,9 +96,9 @@ def federate(config, members=None):
                 raise TrainingDiverged(
                     f"client {i} diverged in round {t}: {exc}", round=t
                 ) from exc
-            delta = ModelParams((local - m0.values) * scale)
-            updates.append(ClientUpdate(client=k, delta=delta))
-        m = ModelParams(m0.values + np.sum([u.delta.values for u in updates], axis=0))
-        transcripts.append(RoundTranscript(round=t, m0=m0, updates=tuple(updates), m=m))
+            # refuses a non-finite update before later clients train
+            updates.append(ModelParams((local - m0.values) * scale).values)
+        m = ModelParams(m0.values + np.sum(updates, axis=0))
+        transcripts.append(RoundTranscript(round=t, m0=m0, updates=np.stack(updates), m=m))
         m0 = m
     return transcripts, test

@@ -36,7 +36,6 @@ from fedscore import (
 from fedscore.experiments import run_scenario
 from fedscore.experiments.runs import _weighted_model
 from fedscore.fedsim import (
-    ClientUpdate,
     MlpArch,
     ModelParams,
     RoundTranscript,
@@ -187,11 +186,8 @@ def _synthetic_transcripts(n_clients, rounds=1):
     transcripts = []
     for r in range(1, rounds + 1):
         deltas = 0.01 * rng.standard_normal((n_clients, arch.n_params))
-        updates = tuple(
-            ClientUpdate(i, ModelParams(deltas[i])) for i in range(n_clients)
-        )
         m = ModelParams(m0.values + deltas.sum(axis=0))
-        transcripts.append(RoundTranscript(r, m0, updates, m))
+        transcripts.append(RoundTranscript(r, m0, deltas, m))
         m0 = m
     return arch, test, transcripts
 

@@ -3,13 +3,14 @@
 Each manifest field is checked for type and range before it is used, so
 a bad value names ``manifest.json`` and the key instead of surfacing as a
 bare ``int()`` error, an empty archive, or a disagreement with the
-config; so do an unsupported format, a client count the config does not
-share, a round file the manifest has no checksum for and a file name
-past the manifest's round count.  Each ``config.json`` field must be there with its JSON type, so
-a bad one is named instead of loading and failing later.  A file the
-manifest relies on but the directory lacks names that file, and so does a
-round file whose checksum matches but whose contents do not parse.  A
-save that fails part-way leaves no archive that loads.
+config; so do an unsupported format, a client count or parameter count
+the config does not share, a round file the manifest has no checksum
+for and a file name past the manifest's round count.  Each
+``config.json`` field must be there with its JSON type, so a bad one is
+named instead of loading and failing later.  A file the manifest relies
+on but the directory lacks names that file, and so does a round file
+whose checksum matches but whose contents do not parse.  A save that
+fails part-way leaves no archive that loads.
 """
 
 import dataclasses
@@ -135,6 +136,14 @@ def _touch_config(arc):
                  "manifest.json: 'files' names round_0002.bin, which 'rounds' 1 "
                  "does not count",
                  id="round-past-rounds"),
+    pytest.param(lambda arc: _set_config(arc, ("dataset", "dim"), 5),
+                 "manifest.json: 'dim' 323 disagrees with the 291 parameters "
+                 "of config.json's model",
+                 id="config-model-dim"),
+    pytest.param(lambda arc: _set_manifest(arc, "dim", 324),
+                 "manifest.json: 'dim' 324 disagrees with the 323 parameters "
+                 "of config.json's model",
+                 id="manifest-dim"),
 ])
 def test_manifest_refusal_is_named(archive, damage, message):
     damage(archive)
@@ -182,6 +191,33 @@ def test_save_refuses_a_client_count_the_config_does_not_share(tiny_run, tmp_pat
     assert not (tmp_path / "arc").exists()
 
 
+def test_cli_names_a_dim_the_config_does_not_share(archive):
+    # The config's rounds and checksums all match; only its model is
+    # smaller than the stored rounds, which `--method cos` used to score.
+    _set_config(archive, ("dataset", "dim"), 5)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedscore", "score", str(archive), "--method", "cos"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "fedscore: error: manifest.json: 'dim' 323 disagrees with the 291 "
+        "parameters of config.json's model\n"
+    )
+
+
+def test_save_refuses_a_dim_the_config_does_not_share(tiny_run, tmp_path):
+    config, transcripts, _ = tiny_run
+    narrower = dataclasses.replace(
+        config, dataset=dataclasses.replace(config.dataset, dim=5))
+    with pytest.raises(ArchiveError, match=re.escape(
+            "round 1 has dim 323, the config's model has 291 parameters")):
+        save_transcripts(tmp_path / "arc", narrower, transcripts)
+    assert not (tmp_path / "arc").exists()
+
+
 def test_missing_config_named(archive):
     (archive / "config.json").unlink()
     with pytest.raises(ArchiveError, match="config.json: cannot read"):
@@ -207,9 +243,18 @@ def _nan_start_model(blob):
     return blob[:4] + np.array([np.nan], dtype="<f8").tobytes() + blob[12:]
 
 
+def _nan_update_1(blob):
+    # the header, m0 and update 0 come first
+    at = 4 + 8 * 2 * int(np.frombuffer(blob[:4], dtype="<u4")[0])
+    return blob[:at] + np.array([np.nan], dtype="<f8").tobytes() + blob[at + 8:]
+
+
 @pytest.mark.parametrize("damage, message", [
     pytest.param(_nan_start_model,
                  "round_0001.bin: parameters contain non-finite values", id="nan"),
+    pytest.param(_nan_update_1,
+                 "round_0001.bin: update of client 1 contains non-finite values",
+                 id="nan-update"),
     pytest.param(lambda blob: bytes(4),
                  "round_0001.bin: dim 0 disagrees with manifest dim", id="dim-0"),
     pytest.param(lambda blob: blob[:2],

@@ -7,6 +7,7 @@ by determinism and by the aggregate identity m = m0 + sum of deltas.
 
 import json
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from fedscore import Coalition, GameError
 from fedscore.fedsim import (
     ArchiveError,
-    ClientUpdate,
     DataError,
     FederationConfig,
     FederationError,
@@ -61,23 +61,22 @@ ARCHIVE_FLOATS = st.one_of(
 
 @st.composite
 def archived_runs(draw):
-    """(config, transcripts) of 1-4 clients, 1-3 rounds and 1-6 parameters."""
+    """(config, transcripts) of 1-4 clients and 1-3 rounds; each vector
+    repeats 1-6 drawn values over the parameters of the config's model."""
     n = draw(st.integers(1, 4))
     rounds = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 6))
-    vectors = st.lists(ARCHIVE_FLOATS, min_size=dim, max_size=dim).map(np.array)
+    width = draw(st.integers(1, 6))
+    n_params = MlpArch(TINY_SPEC.dim, TINY_SPEC.n_classes).n_params
+    vectors = st.lists(ARCHIVE_FLOATS, min_size=width, max_size=width).map(
+        lambda values: np.resize(values, n_params))
     transcripts = []
     for rnd in range(1, rounds + 1):
         m0 = draw(vectors)
-        deltas = [draw(vectors) for _ in range(n)]
-        m = m0 + np.sum(deltas, axis=0)
+        deltas = np.array([draw(vectors) for _ in range(n)])
+        m = m0 + deltas.sum(axis=0)
         assume(np.all(np.isfinite(m)))
         transcripts.append(RoundTranscript(
-            round=rnd,
-            m0=ModelParams(m0),
-            updates=tuple(ClientUpdate(i, ModelParams(d))
-                          for i, d in enumerate(deltas)),
-            m=ModelParams(m),
+            round=rnd, m0=ModelParams(m0), updates=deltas, m=ModelParams(m),
         ))
     config = tiny_config(
         n_clients=n,
@@ -340,12 +339,12 @@ class TestFederation:
         config, transcripts, _ = tiny_run
         assert [t.round for t in transcripts] == list(range(1, config.rounds + 1))
         for t in transcripts:
-            assert [u.client for u in t.updates] == list(range(config.n_clients))
+            assert t.updates.shape == (config.n_clients, t.dim)
 
     def test_aggregate_identity(self, tiny_run):
         _, transcripts, _ = tiny_run
         for t in transcripts:
-            total = t.m0.values + np.sum([u.delta.values for u in t.updates], axis=0)
+            total = t.m0.values + t.updates.sum(axis=0)
             np.testing.assert_allclose(t.m.values, total, atol=1e-9)
 
     def test_rounds_chain(self, tiny_run):
@@ -359,8 +358,7 @@ class TestFederation:
         b, _ = run_federation(config)
         for x, y in zip(a, b):
             assert np.array_equal(x.m.values, y.m.values)
-            for ux, uy in zip(x.updates, y.updates):
-                assert np.array_equal(ux.delta.values, uy.delta.values)
+            assert np.array_equal(x.updates, y.updates)
 
     def test_seed_changes_run(self):
         a, _ = run_federation(tiny_config())
@@ -382,19 +380,30 @@ class TestFederation:
         with pytest.raises(FederationError):
             RoundTranscript(round=t.round, m0=t.m0, updates=t.updates, m=broken)
 
-    @pytest.mark.parametrize("labels, message", [
-        ((1, 0), "update 0 is labelled client 1"),
-        ((3, 7), "update 0 is labelled client 3"),
-        ((0, 2), "update 1 is labelled client 2"),
+    @pytest.mark.parametrize("updates, message", [
+        (np.zeros(3), "updates must be a (clients, dim) array with a row per "
+                      "client, got shape (3,)"),
+        (np.zeros((1, 2, 3)), "got shape (1, 2, 3)"),
+        (np.zeros((0, 3)), "got shape (0, 3)"),
+        (np.zeros((2, 4)), "updates have dim 4, expected 3"),
+        (np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]]),
+         "update of client 1 contains non-finite values"),
+        (np.array([[0.0, 0.0, -np.inf]]),
+         "update of client 0 contains non-finite values"),
     ])
-    def test_kth_update_must_be_client_k(self, labels, message):
-        # Scores and archives go by position, so a relabelled update
-        # would hand its weight or score to another client.
-        deltas = np.eye(2, 3)
-        updates = tuple(ClientUpdate(c, ModelParams(d)) for c, d in zip(labels, deltas))
+    def test_transcript_refuses_bad_updates(self, updates, message):
         m0 = ModelParams(np.zeros(3))
-        with pytest.raises(FederationError, match=message):
-            RoundTranscript(1, m0, updates, ModelParams(deltas.sum(axis=0)))
+        with pytest.raises(FederationError, match=re.escape(message)):
+            RoundTranscript(1, m0, updates, m0)
+
+    def test_transcript_holds_a_frozen_copy_of_the_updates(self):
+        deltas = np.eye(2, 3)
+        t = RoundTranscript(1, ModelParams(np.zeros(3)), deltas,
+                            ModelParams(deltas.sum(axis=0)))
+        deltas[0, 0] = 5.0
+        assert t.updates[0, 0] == 1.0 and t.updates.dtype == np.float64
+        with pytest.raises(ValueError):
+            t.updates[0, 0] = 2.0
 
     def test_config_validation(self):
         with pytest.raises(FederationError):
@@ -516,17 +525,15 @@ class TestArchive:
             assert a.round == b.round
             assert np.array_equal(a.m.values, b.m.values)
             assert np.array_equal(a.m0.values, b.m0.values)
-            for ua, ub in zip(a.updates, b.updates):
-                assert ua.client == ub.client
-                assert np.array_equal(ua.delta.values, ub.delta.values)
+            assert np.array_equal(a.updates, b.updates)
 
     @settings(max_examples=60, deadline=None)
     @given(archived_runs())
     def test_roundtrip_is_bit_exact(self, run):
         config, transcripts = run
 
-        def bits(params):
-            return params.values.view(np.uint64)
+        def bits(values):
+            return values.view(np.uint64)
 
         with tempfile.TemporaryDirectory() as tmp:
             save_transcripts(tmp, config, transcripts)
@@ -534,11 +541,26 @@ class TestArchive:
         assert loaded_config == config
         assert [t.round for t in loaded] == [t.round for t in transcripts]
         for a, b in zip(transcripts, loaded):
-            assert np.array_equal(bits(a.m0), bits(b.m0))
-            assert np.array_equal(bits(a.m), bits(b.m))
-            for ua, ub in zip(a.updates, b.updates):
-                assert ua.client == ub.client
-                assert np.array_equal(bits(ua.delta), bits(ub.delta))
+            assert np.array_equal(bits(a.m0.values), bits(b.m0.values))
+            assert np.array_equal(bits(a.m.values), bits(b.m.values))
+            assert a.updates.shape == b.updates.shape
+            assert np.array_equal(bits(a.updates), bits(b.updates))
+
+    def test_round_blob_layout(self, tmp_path):
+        # The bytes are spelled out with struct, not numpy: a uint32 dim,
+        # then m0, each update row in client order and m as float64, all
+        # little-endian.
+        config = tiny_config(n_clients=3, rounds=1)
+        dim = MlpArch(TINY_SPEC.dim, TINY_SPEC.n_classes).n_params
+        m0 = np.arange(dim) * 0.5
+        deltas = np.arange(3 * dim).reshape(3, dim) / 8.0 - 100.0
+        m = m0 + deltas.sum(axis=0)
+        t = RoundTranscript(1, ModelParams(m0), deltas, ModelParams(m))
+        save_transcripts(tmp_path / "arc", config, [t])
+        want = struct.pack("<I", dim)
+        for row in [m0, *deltas, m]:
+            want += struct.pack(f"<{dim}d", *row.tolist())
+        assert (tmp_path / "arc" / "rounds" / "round_0001.bin").read_bytes() == want
 
     def test_tampered_round_detected(self, tiny_run, tmp_path):
         config, transcripts, _ = tiny_run

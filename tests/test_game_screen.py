@@ -38,7 +38,7 @@ def coalition_argmax(transcript, data=TEST):
 
 
 def bound(transcript, data=TEST):
-    terms = np.stack([transcript.m0.values] + [u.delta.values for u in transcript.updates])
+    terms = np.vstack([transcript.m0.values, transcript.updates])
     return mlp._coalition_bound(ARCH, terms, data, mlp.accuracy_screen(data)[0])
 
 
@@ -178,7 +178,7 @@ def test_the_stacks_screen_only_the_open_samples(monkeypatch):
 
 def test_a_huge_update_settles_nothing_and_screens_every_sample(monkeypatch):
     (t,) = make_transcripts(3)
-    deltas = np.stack([u.delta.values for u in t.updates])
+    deltas = t.updates.copy()
     deltas[1, 7] = 1e30
     t = make_transcript(1, t.m0.values, deltas)
     seen = stacks_screened(monkeypatch)

@@ -49,9 +49,8 @@ def assert_same_runs(transcripts, expected):
         assert got.round == want.round
         assert np.array_equal(bits(got.m0.values), bits(want.m0.values))
         assert np.array_equal(bits(got.m.values), bits(want.m.values))
-        assert [u.client for u in got.updates] == [u.client for u in want.updates]
-        for u, v in zip(got.updates, want.updates):
-            assert np.array_equal(bits(u.delta.values), bits(v.delta.values))
+        assert got.updates.shape == want.updates.shape
+        assert np.array_equal(bits(got.updates), bits(want.updates))
 
 
 @st.composite

@@ -31,7 +31,6 @@ from fedscore import (
     utilities_from_transcript,
 )
 from fedscore.fedsim import (
-    ClientUpdate,
     ModelParams,
     RoundTranscript,
     model_eval_oracle,
@@ -46,7 +45,7 @@ def narrow_second_round(transcripts):
     """The first two rounds, the second cut to its first two clients."""
     t = transcripts[1]
     updates = t.updates[:2]
-    m = ModelParams(t.m0.values + np.sum([u.delta.values for u in updates], axis=0))
+    m = ModelParams(t.m0.values + updates.sum(axis=0))
     return [transcripts[0], RoundTranscript(t.round, t.m0, updates, m)]
 
 
@@ -226,7 +225,7 @@ class TestTranscriptScoring:
         got = cos_score(t)
         assert got.round == t.round
         for i, update in enumerate(t.updates):
-            probe = t.m0.values + update.delta.values
+            probe = t.m0.values + update
             expect = np.dot(probe, t.m.values) / (
                 np.linalg.norm(probe) * np.linalg.norm(t.m.values)
             )
@@ -236,9 +235,9 @@ class TestTranscriptScoring:
         _, transcripts, _ = tiny_run
         t = transcripts[0]
         # a probe that exactly cancels m0 has zero norm
-        killer = ModelParams(-t.m0.values)
-        updates = (t.updates[0].__class__(0, killer),) + t.updates[1:]
-        m = ModelParams(t.m0.values + np.sum([u.delta.values for u in updates], axis=0))
+        updates = t.updates.copy()
+        updates[0] = -t.m0.values
+        m = ModelParams(t.m0.values + updates.sum(axis=0))
         t2 = t.__class__(round=t.round, m0=t.m0, updates=updates, m=m)
         assert cos_score(t2).scores[0] == 0.0
 
@@ -306,10 +305,7 @@ class TestMrShapley:
         config, transcripts, test = tiny_run
         evaluator = model_eval_oracle(test, config.utility_kind)
         m0 = transcripts[0].m0
-        zero = ModelParams(np.zeros(m0.dim))
-        wide = RoundTranscript(
-            1, m0, tuple(ClientUpdate(i, zero) for i in range(13)), m0
-        )
+        wide = RoundTranscript(1, m0, np.zeros((13, m0.dim)), m0)
         with pytest.raises(ScoringError, match="capped at 12 clients, got 13"):
             mr_shapley([wide], evaluator)
         assert evaluator.call_count == 0

@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from fedscore import Coalition, GameError, TableGame, mr_shapley, shapley_exact
 from fedscore.fedsim import (
-    ClientUpdate,
     MlpArch,
     ModelError,
     ModelEvaluator,
@@ -77,7 +76,7 @@ def reference_utility(kind, vec, arch=ARCH, data=TEST):
 def reference_model(transcript, mask):
     model = transcript.m0.values
     for i in Coalition(mask).members:
-        model = model + transcript.updates[i].delta.values
+        model = model + transcript.updates[i]
     return model
 
 
@@ -90,9 +89,8 @@ def reference_table(transcript, kind, arch=ARCH, data=TEST):
 
 
 def make_transcript(rnd, m0, deltas):
-    updates = tuple(ClientUpdate(i, ModelParams(d)) for i, d in enumerate(deltas))
     m = ModelParams(m0 + deltas.sum(axis=0))
-    return RoundTranscript(rnd, ModelParams(m0), updates, m)
+    return RoundTranscript(rnd, ModelParams(m0), deltas, m)
 
 
 def make_transcripts(n_clients, rounds=1, arch=ARCH, scale=0.3):
