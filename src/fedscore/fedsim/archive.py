@@ -134,6 +134,9 @@ def _parse_round_blob(
             f"{expected} for dim={dim} and {n_clients} clients"
         )
     flat = np.frombuffer(blob[4:], dtype="<f8").reshape(n_clients + 2, dim)
+    for row, vector in ((0, "start model"), (n_clients + 1, "aggregate")):
+        if not np.isfinite(flat[row]).all():
+            raise ArchiveError(f"{name}: {vector} contains non-finite values")
     try:
         m0 = ModelParams(flat[0])
         m = ModelParams(flat[n_clients + 1])

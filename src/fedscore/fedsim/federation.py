@@ -65,11 +65,17 @@ UTILITY_KINDS = ("accuracy", "neg_loss")
 # Coalition models per stacked evaluation when a game is tabulated, by
 # utility kind.  At the bundled sizes (24 features, 1,000 test samples,
 # 4 classes), with two processes evaluating at once as two Shapley
-# workers do (2-vCPU Xeon, best of 5 in each), accuracy took 114-124,
-# 104-114, 96-106 and 105-118 us per model in stacks of 8, 16, 32 and
-# 64, and the loss 253-268, 261-267 and 287-305 us in stacks of 8, 16
-# and 32.
-_TABULATION_CHUNK = {"accuracy": 32, "neg_loss": 8}
+# workers do (2-vCPU Xeon, median of 5 over the 10 round games of one
+# default repeat at master seed 3), accuracy took 17.8-18.1, 15.6-16.2,
+# 14.8-14.9 and 15.1-15.3 ms per game in stacks of 16, 32, 64 and 128,
+# now that coalition_screen leaves each stack about a third of the
+# samples; the loss took 253-268, 261-267 and 287-305 us per model in
+# stacks of 8, 16 and 32.
+_TABULATION_CHUNK = {"accuracy": 64, "neg_loss": 8}
+
+# Most masks folded at once by a request other than the whole game: 2 MB
+# of models at the bundled sizes, however many masks the request holds.
+_FOLD_SLICE = 256
 
 
 class FederationError(ValueError):
@@ -207,6 +213,9 @@ class ModelEvaluator:
         self.utility_kind = utility_kind
         self._count = 0
         self._screen = None  # accuracy_screen(test), on first use
+        # The flat offset of each sample's label logit in a (n, K) block,
+        # for stack_mean_loss's gather.
+        self._offsets = test.labels + arch.n_classes * np.arange(test.n_samples)
 
     def __call__(self, model: ModelParams) -> float:
         return float(self.evaluate_stack(model.values[None])[0])
@@ -226,7 +235,7 @@ class ModelEvaluator:
         if self.utility_kind == "accuracy":
             return stack_accuracy(self.arch, stack, self.test, self._accuracy_screen(),
                                   coalitions)
-        return -stack_mean_loss(self.arch, stack, self.test)
+        return -stack_mean_loss(self.arch, stack, self.test, self._offsets)
 
     def round_screen(self, transcript: RoundTranscript):
         """The test samples that a round's coalition models all get right,
@@ -269,11 +278,10 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
     accuracy it first settles the test samples that an interval bound over
     all 2^N coalition models decides (:meth:`ModelEvaluator.round_screen`),
     and the chunks evaluate only the samples left open; each coalition
-    still counts once.  Any other request folds and evaluates its models
-    one at a time.
+    still counts once.  Any other request folds its models at once, in
+    slices of at most _FOLD_SLICE masks (:func:`_coalition_models`), and
+    evaluates them one ``ModelEvaluator.__call__`` each.
     """
-    deltas = transcript.updates
-    m0 = transcript.m0
 
     def utilities(masks):
         if isinstance(masks, range) and masks == range(1 << transcript.n_clients):
@@ -283,12 +291,10 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
         # One ModelEvaluator.__call__ per model: the benchmark's tracer
         # (perfbench/tracing.py) counts those calls to audit the 2N+2
         # probe set, so a request other than the whole game is not stacked.
-        for mask in masks:
-            model = m0.values
-            for i in Coalition(mask).members:
-                model = model + deltas[i]
-            _check_models([mask], model[None])
-            yield [evaluator(ModelParams(model))]
+        for lo in range(0, len(masks), _FOLD_SLICE):
+            part = masks[lo : lo + _FOLD_SLICE]
+            yield from _evaluate_chunks(evaluator, part, _coalition_models(transcript, part),
+                                        stacked=False)
 
     return CoalitionOracle(transcript.n_clients, utilities, evaluator)
 
@@ -316,22 +322,48 @@ def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
     return table
 
 
+def _coalition_models(transcript: RoundTranscript, masks: Sequence[int]) -> np.ndarray:
+    """The models of the coalitions in ``masks``, any masks in any order,
+    as one (len(masks), n_params) array, row k = masks[k].
+
+    Every row starts at m0; then, client by client in ascending order,
+    the rows whose mask holds client j add U_j.  So each row takes its
+    members in ascending order: the left fold of :func:`_coalition_table`,
+    bit for bit.
+    """
+    n = transcript.n_clients
+    width = (n + 7) // 8
+    packed = b"".join(int(mask).to_bytes(width, "little") for mask in masks)
+    held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
+                         axis=1, count=n, bitorder="little").view(bool)
+    models = np.tile(transcript.m0.values, (len(masks), 1))
+    for j, delta in enumerate(transcript.updates):
+        models[held[:, j]] += delta
+    return models
+
+
 def _evaluate_chunks(
-    evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray, coalitions=None
+    evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray, coalitions=None,
+    stacked: bool = True,
 ):
     """Yield the utilities of the coalition models in the rows of
-    ``models``, in row order, evaluated in stacks of contiguous rows
-    (_TABULATION_CHUNK); ``masks`` names each row's coalition.  The rows
-    are checked finite once: those before the first non-finite one are
-    evaluated, and then its coalition is refused by name, as the
-    per-coalition game meets them.  ``coalitions``, a round game's
-    :meth:`ModelEvaluator.round_screen`, goes to every stack, which then
-    screens only the test samples it left open."""
+    ``models``, in row order; ``masks`` names each row's coalition.  The
+    rows are checked finite once: those before the first non-finite one
+    are evaluated, and then its coalition is refused by name, as the
+    per-coalition game meets them.  Stacked, the rows are evaluated in
+    stacks of contiguous rows (_TABULATION_CHUNK), and ``coalitions``, a
+    round game's :meth:`ModelEvaluator.round_screen`, goes to every stack,
+    which then screens only the test samples it left open.  Otherwise
+    each row is one ``evaluator(ModelParams(row))``, yielded alone."""
     finite = np.isfinite(models).all(axis=1)
     stop = len(models) if finite.all() else int(np.argmin(finite))
-    chunk = _TABULATION_CHUNK[evaluator.utility_kind]
-    for lo in range(0, stop, chunk):
-        yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)], coalitions)
+    if stacked:
+        chunk = _TABULATION_CHUNK[evaluator.utility_kind]
+        for lo in range(0, stop, chunk):
+            yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)], coalitions)
+    else:
+        for row in models[:stop]:
+            yield [evaluator(ModelParams(row))]
     _check_models(masks[stop:], models[stop:])
 
 

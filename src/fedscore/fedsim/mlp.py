@@ -127,18 +127,20 @@ def _split(arch: MlpArch, flat: np.ndarray):
 def _layers(features: np.ndarray, w1, b1, w2, b2):
     """Hidden activations and logits; weights may carry a leading stack
     axis, in which case ``np.matmul`` runs the same GEMM on every slice."""
-    # Bias and tanh in place, so a call allocates one (stack, samples,
+    # Biases and tanh in place, so a call allocates one (stack, samples,
     # hidden) array, not three: arrays that large come back from the
     # allocator as fresh pages, and faulting them in costs system time.
     hidden = features @ w1
     hidden += b1[..., None, :]
     np.tanh(hidden, out=hidden)
-    return hidden, hidden @ w2 + b2[..., None, :]
+    logits = hidden @ w2
+    logits += b2[..., None, :]
+    return hidden, logits
 
 
-# Local SGD calls the ufuncs' reductions directly: ``ndarray.max``, ``sum``
-# and ``mean`` run the same reductions behind a Python wrapper that costs
-# more than the arithmetic on one 16-sample batch.
+# Local SGD and the test-set loss call the ufuncs' reductions directly:
+# ``ndarray.max``, ``sum`` and ``mean`` run the same reductions behind a
+# Python wrapper that costs more than the arithmetic on one 16-sample batch.
 _max, _sum = np.maximum.reduce, np.add.reduce
 
 
@@ -151,8 +153,12 @@ def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np
     """Logits of every model in a (c, n_params) stack, shape (c, n, classes).
 
     Every slice goes through exactly the float operations a lone model
-    does: one GEMM per layer, then elementwise bias and tanh.
+    does: one GEMM per layer, then elementwise bias and tanh.  A one-row
+    stack runs the 2-D GEMMs, the same BLAS call as the (1, n, d)
+    broadcast without its stacked dispatch.
     """
+    if len(stack) == 1:
+        return _layers(features, *_split(arch, stack[0]))[1][None]
     return _layers(features, *_split(arch, stack))[1]
 
 
@@ -171,7 +177,9 @@ def _row_max(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> np.ndarray:
+def stack_mean_loss(
+    arch: MlpArch, stack: np.ndarray, data: LabeledDataset, offsets=None
+) -> np.ndarray:
     """Mean softmax cross-entropy of every model in a stack.
 
     Bit-identical to gathering ``_log_softmax(logits)`` at the labels,
@@ -180,32 +188,38 @@ def stack_mean_loss(arch: MlpArch, stack: np.ndarray, data: LabeledDataset) -> n
     * the row max goes column by column (:func:`_row_max`): a max does
       no rounding, and numpy's row-wise reduction of the short class
       axis costs more than the first-layer GEMM;
-    * only the label column of the logits is gathered, and the row max
-      and then the log-sum-exp are subtracted from it, so neither the
-      (c, n, K) shifted logits nor the log-softmax is built;
-    * below 8 classes the exp-sum folds ``exp(logits[..., j] - max)``
-      over the class columns, left to right: numpy reduces a contiguous
-      axis that short as a left fold, so the sum has the same bits.
-      From 8 classes on numpy sums pairwise, which a fold would not
-      reproduce, so the sum stays its reduction over the class axis.
+    * the logits are shifted by the row max in place, and one
+      ``np.take`` of the flat offsets ``labels + K * arange(n)``
+      (``offsets``, which an evaluator computes once) gathers the
+      shifted label logits, so neither the log-softmax nor a copy of the
+      logits is built;
+    * the exp then overwrites the shifted logits.  Below 8 classes the
+      exp-sum folds the class columns left to right: numpy reduces a
+      contiguous axis that short as a left fold, so the sum has the same
+      bits.  From 8 classes on numpy sums pairwise, which a fold would
+      not reproduce, so the sum stays its reduction over the class axis;
+    * the log is taken in place, and the mean is ``np.add.reduce`` over
+      the samples divided by n, which is what ``ndarray.mean`` computes.
 
     Local SGD keeps :func:`_log_softmax`: its gradient needs every class,
     and on a 16-row batch the column max is slower than the reduction.
     """
+    n, k = data.n_samples, arch.n_classes
+    if offsets is None:
+        offsets = data.labels + k * np.arange(n)
     logits = _forward_stack(arch, stack, data.features)
-    top = _row_max(logits)
-    # The gather comes back in column order, and a row mean over it sums
-    # in a different order than the mean over one model's 1-D gather.
-    picked = np.ascontiguousarray(logits[:, np.arange(data.n_samples), data.labels])
-    picked -= top
-    if arch.n_classes < 8:
-        total = np.exp(logits[..., 0] - top)
-        for j in range(1, arch.n_classes):
-            total += np.exp(logits[..., j] - top)
+    logits -= _row_max(logits)[..., None]
+    picked = np.take(logits.reshape(len(stack), n * k), offsets, axis=1)
+    exps = np.exp(logits, out=logits)
+    if k < 8:
+        total = exps[..., 0] + exps[..., 1]
+        for j in range(2, k):
+            total += exps[..., j]
     else:
-        total = np.exp(logits - top[..., None]).sum(axis=-1)
-    picked -= np.log(total)
-    return -picked.mean(axis=1)
+        total = _sum(exps, axis=-1)
+    picked -= np.log(total, out=total)
+    # -(sum / n): a correctly rounded division is symmetric in sign.
+    return _sum(picked, axis=1) / -n
 
 
 # The most float32 and float64 ``np.tanh`` may miss ``tanh`` by: 16 units

@@ -243,6 +243,11 @@ def _nan_start_model(blob):
     return blob[:4] + np.array([np.nan], dtype="<f8").tobytes() + blob[12:]
 
 
+def _nan_aggregate(blob):
+    # the aggregate is the last vector of the file
+    return blob[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+
+
 def _nan_update_1(blob):
     # the header, m0 and update 0 come first
     at = 4 + 8 * 2 * int(np.frombuffer(blob[:4], dtype="<u4")[0])
@@ -251,7 +256,10 @@ def _nan_update_1(blob):
 
 @pytest.mark.parametrize("damage, message", [
     pytest.param(_nan_start_model,
-                 "round_0001.bin: parameters contain non-finite values", id="nan"),
+                 "round_0001.bin: start model contains non-finite values", id="nan"),
+    pytest.param(_nan_aggregate,
+                 "round_0001.bin: aggregate contains non-finite values",
+                 id="nan-aggregate"),
     pytest.param(_nan_update_1,
                  "round_0001.bin: update of client 1 contains non-finite values",
                  id="nan-update"),
@@ -280,7 +288,7 @@ def test_cli_names_the_damaged_round(archive):
     )
     assert proc.returncode == 1
     assert proc.stderr == (
-        "fedscore: error: round_0001.bin: parameters contain non-finite values\n"
+        "fedscore: error: round_0001.bin: start model contains non-finite values\n"
     )
 
 
