@@ -10,14 +10,12 @@ experiment harness that compares everything end to end.
 """
 
 from .games import (
-    Coalition,
     CoalitionOracle,
     GameError,
     METHOD_LABELS,
     ScoreVector,
     TableGame,
     load_table_game,
-    save_table_game,
     shapley_exact,
 )
 from .metrics import (
@@ -78,7 +76,6 @@ from .fedsim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coalition",
     "CoalitionOracle",
     "EeNumerators",
     "FederationConfig",
@@ -127,7 +124,6 @@ __all__ = [
     "rank_correlation",
     "round_oracle",
     "run_federation",
-    "save_table_game",
     "scores_from_csv",
     "scores_to_csv",
     "shapley_exact",

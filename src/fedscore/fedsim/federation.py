@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..games import SHAPLEY_MAX_CLIENTS, Coalition, CoalitionOracle, GameError
+from ..games import SHAPLEY_MAX_CLIENTS, CoalitionOracle, GameError, coalition_members
 from .data import (
     LabeledDataset,
     SyntheticSpec,
@@ -303,7 +303,7 @@ def _check_models(masks: Sequence[int], stack: np.ndarray) -> None:
     """Refuse a non-finite coalition model, naming its coalition."""
     finite = np.isfinite(stack).all(axis=1)
     if not finite.all():
-        members = Coalition(masks[int(np.argmin(finite))]).members
+        members = coalition_members(masks[int(np.argmin(finite))])
         raise ModelError(f"model of coalition {members} contains non-finite values")
 
 
@@ -487,7 +487,8 @@ class RetrainingGame:
     in lockstep, round by round, through one round loop (:meth:`_retrain`)
     over their (client, coalition) pairs, and each coalition ends
     bit-identical to its own federation run.  Tabulating the oracle
-    trains all 2^N coalitions this way; ``value`` trains just one.
+    trains all 2^N coalitions this way; ``value(mask)`` trains just the
+    one with that bitmask.
     """
 
     def __init__(self, config: FederationConfig):
@@ -502,13 +503,13 @@ class RetrainingGame:
     def n_clients(self) -> int:
         return self.config.n_clients
 
-    def value(self, coalition: Coalition) -> float:
-        if coalition.mask >> self.n_clients:
+    def value(self, mask: int) -> float:
+        if mask >> self.n_clients:
             raise GameError(
-                f"coalition {coalition.members} out of range for "
+                f"coalition {coalition_members(mask)} out of range for "
                 f"{self.n_clients} clients"
             )
-        ((utility,),) = self._retrain([coalition.mask])
+        ((utility,),) = self._retrain([mask])
         return float(utility)
 
     def oracle(self) -> CoalitionOracle:
@@ -561,7 +562,7 @@ class RetrainingGame:
                 )
                 if diverged is not None:
                     i = clients[diverged.row]
-                    members = Coalition(trained[rows[diverged.row]]).members
+                    members = coalition_members(trained[rows[diverged.row]])
                     raise TrainingDiverged(
                         f"client {i} diverged in round {t} in coalition "
                         f"{members}: {diverged}",

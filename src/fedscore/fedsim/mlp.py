@@ -163,13 +163,19 @@ def _forward_stack(arch: MlpArch, stack: np.ndarray, features: np.ndarray) -> np
 
 
 def _row_max(logits: np.ndarray) -> np.ndarray:
-    """``logits.max(axis=-1)``, bit for bit, folded over the class columns.
+    """``logits.max(axis=-1)``, folded over the class columns.
 
     numpy reduces a short last axis one row at a time; K-1 elementwise
     passes over the strided (c, n) class columns are several times
-    faster.  A max does no rounding, and ``np.maximum`` propagates NaN
-    and picks between +0.0 and -0.0 just as the reduction does, so the
-    result is exact for every K >= 2 (every architecture has two classes).
+    faster.  A max does no rounding and ``np.maximum`` propagates NaN, so
+    the result is exact for every K >= 2 (every architecture has two
+    classes) up to the sign of a zero max.  On numpy's X86_V3-and-up
+    kernels ``np.maximum`` picks between +0.0 and -0.0 as the reduction
+    does; on the baseline kernels (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR
+    AVX512_ICL X86_V4 X86_V3"``) 8 of the 4,096 4-tuples over
+    {±0, ±1, ±inf, nan, 5e-324} give a zero max of the other sign: the
+    fold gives -0.0 and the reduction 0.0 for (0.0, -0.0, -1.0, -1.0).
+    There a loss can differ only in the sign of an exact zero.
     """
     out = np.maximum(logits[..., 0], logits[..., 1])
     for j in range(2, logits.shape[-1]):

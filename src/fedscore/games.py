@@ -38,34 +38,12 @@ class GameError(ValueError):
     """Invalid game description or misuse of a coalition oracle."""
 
 
-@dataclass(frozen=True, order=True)
-class Coalition:
-    """An immutable subset of clients, stored as a bitmask.
-
-    Bit i set means client i is a member.  The empty coalition is
-    ``Coalition(0)``.
-    """
-
-    mask: int = 0
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise GameError(f"coalition mask must be nonnegative, got {self.mask}")
-
-    @classmethod
-    def of(cls, members: Iterable[int]) -> "Coalition":
-        """Build a coalition from an iterable of client indices."""
-        mask = 0
-        for i in members:
-            i = int(i)
-            if i < 0:
-                raise GameError(f"negative client index {i}")
-            mask |= 1 << i
-        return cls(mask)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
+def coalition_members(mask: int) -> tuple[int, ...]:
+    """The clients in the coalition with bitmask ``mask`` (bit i set means
+    client i is a member), ascending; a negative mask is refused."""
+    if mask < 0:
+        raise GameError(f"coalition mask must be nonnegative, got {mask}")
+    return tuple(i for i in range(int(mask).bit_length()) if mask >> i & 1)
 
 
 class CoalitionOracle:
@@ -119,7 +97,7 @@ class CoalitionOracle:
         checked = (masks[0], masks[-1]) if isinstance(masks, range) and masks else masks
         for mask in checked:
             if not 0 <= mask < 1 << n:
-                raise GameError(f"coalition {Coalition(mask).members} has members "
+                raise GameError(f"coalition {coalition_members(mask)} has members "
                                 f"outside 0..{n - 1}")
         values = np.empty(len(masks))
         done = 0
@@ -160,7 +138,7 @@ def _finite_utility(mask: int, value) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise GameError(
-            f"utility of coalition {Coalition(mask).members} is not finite: {value!r}"
+            f"utility of coalition {coalition_members(mask)} is not finite: {value!r}"
         )
     return value
 
@@ -210,28 +188,19 @@ class TableGame:
 
     @classmethod
     def from_values(
-        cls, n_clients: int, values: Mapping[object, float]
+        cls, n_clients: int, values: Mapping[int, float]
     ) -> "TableGame":
-        """Build a game from a mapping of coalitions to utilities.
-
-        Keys may be Coalition objects, integer bitmasks, or iterables of
-        client indices.  Every one of the 2^n_clients subsets must appear
-        exactly once.
+        """Build a game from a mapping of integer bitmasks to utilities.
+        Every one of the 2^n_clients masks must appear.
         """
         _check_table_clients(n_clients)
         table = np.empty(2**n_clients)
         given = np.zeros(2**n_clients, dtype=bool)
         for key, value in values.items():
-            if isinstance(key, Coalition):
-                mask = key.mask
-            elif isinstance(key, (int, np.integer)):
-                mask = int(key)
-            else:
-                mask = Coalition.of(key).mask
-            value = _table_entry(n_clients, mask, value)
-            if given[mask]:
-                raise GameError(f"coalition mask {mask} specified twice")
-            table[mask], given[mask] = value, True
+            if not isinstance(key, (int, np.integer)):
+                raise GameError(f"coalition key {key!r} is not an integer bitmask")
+            mask = int(key)
+            table[mask], given[mask] = _table_entry(n_clients, mask, value), True
         if not given.all():
             raise GameError(f"missing utility for coalition mask {int(np.argmin(given))}")
         return cls(n_clients, table)
@@ -276,9 +245,6 @@ class ScoreVector:
     @property
     def n_clients(self) -> int:
         return int(self.scores.size)
-
-    def __len__(self) -> int:
-        return self.n_clients
 
 
 def _subset_sizes(n: int) -> np.ndarray:
@@ -392,19 +358,11 @@ def shapley_exact_all(oracles: Sequence[CoalitionOracle]) -> list[ScoreVector]:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def save_table_game(game: TableGame, path) -> None:
-    """Write a game as text: a client-count line, then one 'mask value' line
-    per coalition in mask order.  Lines starting with '#' are comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# coalition game: first value is the client count,\n")
-        fh.write("# then one '<bitmask> <utility>' line per subset\n")
-        fh.write(f"{game.n_clients}\n")
-        for mask in range(2**game.n_clients):
-            fh.write(f"{mask} {float(game.table[mask])!r}\n")
-
-
 def load_table_game(path) -> TableGame:
-    """Parse the text format written by :func:`save_table_game`."""
+    """Read a game from text: the client count, then one '<bitmask>
+    <utility>' line per coalition, in any order; '#' starts a comment.
+    A fault is refused as a GameError that names the path, and the line
+    where one is at fault."""
     entries: dict[int, float] = {}
     n_clients = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -29,6 +29,12 @@ def loss_and_grad(arch, params, features, labels):
     return float(loss[0]), grad[0]
 
 
+def write_table_game(game: TableGame, path) -> None:
+    """Write a game in load_table_game's text format, masks in order."""
+    rows = [f"{m} {v!r}\n" for m, v in enumerate(game.table.tolist())]
+    path.write_text(f"{game.n_clients}\n" + "".join(rows))
+
+
 def worked_game() -> TableGame:
     return TableGame.from_values(3, WORKED_VALUES)
 

@@ -60,15 +60,14 @@ def test_signed_zeros_tie():
 
 def test_runtime_works_with_scipy_blocked(tmp_path):
     table = tmp_path / "additive.game"
+    table.write_text("2\n0 0.0\n1 1.0\n2 2.0\n3 3.0\n")
     script = textwrap.dedent(f"""
         import runpy, sys
         sys.modules["scipy"] = None  # any scipy import now raises ImportError
         import fedscore.experiments.cli
-        from fedscore import rank_correlation, save_table_game, TableGame
+        from fedscore import rank_correlation
         r = rank_correlation([1.0, 2.0, 2.0, 3.0], [0.0, 0.0, 1.0, 5.0])
         assert not r.degenerate and r.spearman > 0.0, r
-        save_table_game(TableGame.from_values(2, {{0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}}),
-                        {str(table)!r})
         sys.argv = ["fedscore", "game", "shapley", {str(table)!r}]
         runpy.run_module("fedscore", run_name="__main__")
     """)

@@ -30,7 +30,6 @@ from fedscore import (
     loo,
     model_eval_oracle,
     mr_shapley,
-    save_table_game,
     scores_from_csv,
     utilities_from_transcript,
 )
@@ -61,7 +60,7 @@ from fedscore.experiments import (
 from fedscore import fedsim
 from fedscore.fedsim import load_transcripts, save_transcripts
 
-from helpers import additive_game
+from helpers import additive_game, write_table_game
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -962,7 +961,7 @@ class TestCli:
 
     def test_game_shapley(self, tmp_path):
         path = tmp_path / "additive.game"
-        save_table_game(additive_game([0.0, 1.0, 2.0]), path)
+        write_table_game(additive_game([0.0, 1.0, 2.0]), path)
         proc = self._run("game", "shapley", str(path))
         assert proc.returncode == 0
         rows = list(csv.DictReader(proc.stdout.splitlines()))

@@ -16,7 +16,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedscore import Coalition, GameError
+from fedscore import GameError
 from fedscore.fedsim import (
     ArchiveError,
     DataError,
@@ -475,22 +475,24 @@ class TestEvaluatorAndOracles:
 class TestRetrainingGame:
     def test_empty_coalition_scores_initial_model(self):
         game = RetrainingGame(tiny_config(rounds=1))
-        v0 = game.value(Coalition(0))
+        v0 = game.value(0)
         assert np.isfinite(v0)
-        assert game.value(Coalition(0)) == v0
+        assert game.value(0) == v0
 
     def test_grand_matches_full_run(self):
         config = tiny_config(rounds=1)
         game = RetrainingGame(config)
         transcripts, test = run_federation(config)
         ev = model_eval_oracle(test, config.utility_kind)
-        got = game.value(Coalition.of(range(config.n_clients)))
+        got = game.value((1 << config.n_clients) - 1)
         assert abs(got - ev(transcripts[-1].m)) < 1e-12
 
     def test_out_of_range_coalition_rejected(self):
         game = RetrainingGame(tiny_config(rounds=1))
         with pytest.raises(GameError):
-            game.value(Coalition.of([5]))
+            game.value(1 << 5)
+        with pytest.raises(GameError, match="coalition mask must be nonnegative, got -1"):
+            game.value(-1)
 
     def test_oracle_audits_over_memoised_game(self):
         game = RetrainingGame(tiny_config(rounds=1))

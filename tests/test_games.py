@@ -13,18 +13,19 @@ import numpy as np
 import pytest
 
 from fedscore import (
-    Coalition,
     CoalitionOracle,
     GameError,
     ScoreVector,
     TableGame,
     load_table_game,
-    save_table_game,
     scoring,
     shapley_exact,
 )
+from fedscore.games import coalition_members
 
-from helpers import WORKED_VALUES, additive_game, random_game, worked_game
+from helpers import (
+    WORKED_VALUES, additive_game, random_game, worked_game, write_table_game,
+)
 
 
 def permutation_shapley(game: TableGame) -> np.ndarray:
@@ -47,19 +48,14 @@ def popcount_game(masks):
 
 class TestCoalition:
     def test_members_roundtrip(self):
-        c = Coalition.of([0, 3, 5])
-        assert c.members == (0, 3, 5)
-        assert c.mask == 0b101001
+        assert coalition_members(0b101001) == (0, 3, 5)
 
     def test_negative_member_rejected(self):
-        with pytest.raises(GameError):
-            Coalition.of([-1])
-        with pytest.raises(GameError):
-            Coalition(-1)
+        with pytest.raises(GameError, match="coalition mask must be nonnegative, got -1"):
+            coalition_members(-1)
 
     def test_empty(self):
-        assert Coalition.of([]).mask == 0
-        assert Coalition.of([]).members == ()
+        assert coalition_members(0) == ()
 
 
 class TestCoalitionOracle:
@@ -83,13 +79,15 @@ class TestCoalitionOracle:
         asked = []
         oracle = CoalitionOracle(2, lambda masks: asked.append(masks) or [])
         with pytest.raises(GameError, match=r"coalition \(2,\) has members outside"):
-            oracle.utilities([Coalition.of([2]).mask])
+            oracle.utilities([0b100])
         assert asked == [] and oracle.audit_log == ()
 
     @pytest.mark.parametrize("masks, message", [
         pytest.param([0, 4, 1], r"coalition \(2,\) has members outside 0\.\.1",
                      id="list"),
         pytest.param([3, -1], "mask must be nonnegative, got -1", id="negative"),
+        pytest.param(np.array([0, 4]), r"coalition \(2,\) has members outside 0\.\.1",
+                     id="numpy"),
         pytest.param(range(5), r"coalition \(2,\) has members outside", id="range"),
         # 2^40 masks: a range is checked at its ends, not mask by mask.
         pytest.param(range(2**40), r"coalition \(0, 1, .*, 39\) has members outside",
@@ -171,15 +169,18 @@ class TestCoalitionOracle:
 class TestTableGame:
     def test_from_values_key_forms(self):
         by_mask = TableGame.from_values(2, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0})
-        by_members = TableGame.from_values(
-            2, {(): 0.0, (0,): 1.0, (1,): 2.0, (0, 1): 3.0}
-        )
-        by_coalition = TableGame.from_values(
-            2, {Coalition(m): float(m) if m != 2 else 2.0 for m in range(4)}
-        )
-        # mask m maps to utility: 0,1,2,3 in each spelling
-        assert np.array_equal(by_mask.table, by_members.table)
-        assert np.array_equal(by_mask.table, by_coalition.table)
+        by_numpy_mask = TableGame.from_values(2, {np.int64(m): float(m) for m in range(4)})
+        assert np.array_equal(by_mask.table, by_numpy_mask.table)
+
+    @pytest.mark.parametrize("key, message", [
+        pytest.param(2.0, "coalition key 2.0 is not an integer bitmask", id="float"),
+        pytest.param((1,), r"coalition key \(1,\) is not an integer bitmask", id="tuple"),
+        pytest.param("2", "coalition key '2' is not an integer bitmask", id="string"),
+        pytest.param(-1, "coalition mask -1 out of range for 2 clients", id="negative"),
+    ])
+    def test_key_that_is_not_a_mask_is_refused_by_name(self, key, message):
+        with pytest.raises(GameError, match=message):
+            TableGame.from_values(2, {0: 0.0, 1: 1.0, key: 1.0, 3: 2.0})
 
     def test_missing_coalition_rejected(self):
         with pytest.raises(GameError, match="missing"):
@@ -207,13 +208,9 @@ class TestTableGame:
         with pytest.raises(GameError, match=message):
             TableGame(n_clients, table)
 
-    def test_coalition_given_twice_rejected(self):
-        with pytest.raises(GameError, match="mask 1 specified twice"):
-            TableGame.from_values(1, {0: 0.0, 1: 1.0, (0,): 1.0})
-
     def test_value_lookup(self):
         oracle = worked_game().oracle()
-        assert list(oracle.utilities([Coalition.of([1, 2]).mask, 0])) == [3.0, 0.0]
+        assert list(oracle.utilities([0b110, 0])) == [3.0, 0.0]
 
     def test_oracle_tabulation_cost(self):
         game = worked_game()
@@ -246,7 +243,7 @@ class TestScoreVector:
     def test_round_optional(self):
         vec = ScoreVector("SV", np.array([0.5]))
         assert vec.round is None
-        assert len(vec) == 1
+        assert vec.n_clients == 1
 
 
 class TestShapley:
@@ -307,7 +304,7 @@ class TestGameFiles:
     def test_roundtrip(self, tmp_path):
         game = worked_game()
         path = tmp_path / "worked.game"
-        save_table_game(game, path)
+        write_table_game(game, path)
         loaded = load_table_game(path)
         assert loaded.n_clients == 3
         assert np.array_equal(loaded.table, game.table)
@@ -316,7 +313,7 @@ class TestGameFiles:
         rng = np.random.default_rng(65)
         game = random_game(rng, 4, zero_empty=False)
         path = tmp_path / "random.game"
-        save_table_game(game, path)
+        write_table_game(game, path)
         assert np.array_equal(load_table_game(path).table, game.table)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -329,7 +326,7 @@ class TestGameFiles:
             "1 2.5\n"
         )
         game = load_table_game(path)
-        assert game.table[Coalition.of([0]).mask] == 2.5
+        assert game.table[0b1] == 2.5
 
     def test_duplicate_mask_rejected(self, tmp_path):
         path = tmp_path / "dup.game"

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedscore import Coalition
 from fedscore.fedsim import (
     LabeledDataset,
     MlpArch,
@@ -30,6 +29,7 @@ from fedscore.fedsim import (
 )
 from fedscore.fedsim import federation
 from fedscore.fedsim.mlp import HIDDEN_UNITS, sgd_train_rows
+from fedscore.games import coalition_members
 
 import reference_training
 from conftest import tiny_config
@@ -62,7 +62,7 @@ def reference_table(game):
     table = [ev(game._m_init)]
     for mask in range(1, 1 << game.n_clients):
         transcripts, _ = reference_training.federate(
-            game.config, Coalition(mask).members
+            game.config, coalition_members(mask)
         )
         table.append(ev(transcripts[-1].m))
     return np.array(table)
@@ -83,8 +83,8 @@ def test_grand_coalition_is_the_full_run(config):
     game = RetrainingGame(config)
     expect = game._evaluator(transcripts[-1].m)
     table = game.oracle().tabulate()
-    grand = Coalition.of(range(config.n_clients))
-    assert bits(table[grand.mask]) == bits(expect)
+    grand = (1 << config.n_clients) - 1
+    assert bits(table[grand]) == bits(expect)
     # a fresh game that trains only the grand coalition agrees too
     assert bits(RetrainingGame(config).value(grand)) == bits(expect)
 
@@ -133,7 +133,7 @@ def test_tabulation_audits_every_mask_once_and_value_agrees():
     assert oracle.call_count == 16
     assert game._evaluator.call_count - before == 16
     for mask in range(16):
-        assert bits(game.value(Coalition(mask))) == bits(table[mask])
+        assert bits(game.value(mask)) == bits(table[mask])
     again = game.oracle()
     assert np.array_equal(bits(again.tabulate()), bits(table))
     assert again.audit_log == tuple(range(16))
@@ -141,7 +141,7 @@ def test_tabulation_audits_every_mask_once_and_value_agrees():
 
 def test_value_before_tabulation_matches_the_table():
     game = RetrainingGame(tiny_config(n_clients=3, rounds=1))
-    first = game.value(Coalition.of([0, 2]))
+    first = game.value(0b101)
     calls = game._evaluator.call_count
     oracle = game.oracle()
     table = oracle.tabulate()
@@ -184,7 +184,7 @@ def test_diverging_row_names_client_round_and_coalition(monkeypatch):
         return real(arch, stack, streams, **kw)
 
     _poison(monkeypatch, round_=2, client=1, row=3, corrupt=overflow)
-    expect = Coalition(_masks_with(1, 4)[3]).members
+    expect = coalition_members(_masks_with(1, 4)[3])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as info:
             RetrainingGame(config).oracle().tabulate()
@@ -207,7 +207,7 @@ def test_round_one_divergence_names_the_first_coalition(monkeypatch):
         return real(arch, stack, streams, **kw)
 
     _poison(monkeypatch, round_=1, client=1, row=0, corrupt=overflow)
-    expect = Coalition(_masks_with(1, 4)[0]).members
+    expect = coalition_members(_masks_with(1, 4)[0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as info:
             RetrainingGame(config).oracle().tabulate()
@@ -240,7 +240,7 @@ def test_non_finite_coalition_model_names_the_coalition(monkeypatch):
         return out, diverged
 
     _poison(monkeypatch, round_=2, client=2, row=1, corrupt=infinite)
-    expect = Coalition(_masks_with(2, 4)[1]).members
+    expect = coalition_members(_masks_with(2, 4)[1])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ModelError, match=re.escape(f"coalition {expect}")):
             RetrainingGame(config).oracle().tabulate()

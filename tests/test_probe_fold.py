@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedscore import Coalition
 from fedscore.fedsim import (
     MlpArch,
     ModelError,
@@ -27,6 +26,7 @@ from fedscore.fedsim import (
     round_oracle,
 )
 from fedscore.fedsim.federation import _FOLD_SLICE
+from fedscore.games import coalition_members
 
 KINDS = ("accuracy", "neg_loss")
 
@@ -44,7 +44,7 @@ def bits(values):
 
 def reference_model(transcript, mask):
     model = transcript.m0.values
-    for i in Coalition(mask).members:
+    for i in coalition_members(mask):
         model = model + transcript.updates[i]
     return model
 

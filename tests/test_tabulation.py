@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedscore import Coalition, GameError, TableGame, mr_shapley, shapley_exact
+from fedscore import GameError, TableGame, mr_shapley, shapley_exact
 from fedscore.fedsim import (
     MlpArch,
     ModelError,
@@ -28,7 +28,7 @@ from fedscore.fedsim import (
 )
 from fedscore.fedsim.federation import _coalition_table
 from fedscore.fedsim.mlp import stack_accuracy, stack_mean_loss
-from fedscore.games import shapley_exact_all
+from fedscore.games import coalition_members, shapley_exact_all
 from fedscore.scoring import (
     game_round_utilities,
     mr_shapley_games,
@@ -75,7 +75,7 @@ def reference_utility(kind, vec, arch=ARCH, data=TEST):
 
 def reference_model(transcript, mask):
     model = transcript.m0.values
-    for i in Coalition(mask).members:
+    for i in coalition_members(mask):
         model = model + transcript.updates[i]
     return model
 
