@@ -303,13 +303,16 @@ def _weighted_model(transcript, weights):
 
 def _relabeled(scenario, rates, rounds):
     """The federations of an IID copy of the scenario in which client i
-    flips labels at rates[i], the scenario's methods other than SV, and
-    their references over the window ``rounds``, tabulated.  The
-    ablation is dropped: it was checked against the scenario's own
-    federation, and an n_clients value would not fit the per-client
-    rates."""
-    contexts = run_repeats(scenario_with(
-        dataclasses.replace(scenario, ablation=None), iid=True, noise_rates=rates
+    flips labels at rates[i], trained through the last round of the
+    window ``rounds`` only, the scenario's methods other than SV, and
+    their references over that window, tabulated.  The copy evaluates
+    that last round, and its ablation and downstream blocks are dropped:
+    they were checked against the scenario's own federation, and an
+    n_clients value would not fit the per-client rates."""
+    federation = dataclasses.replace(scenario.federation, iid=True, noise_rates=rates,
+                                     rounds=rounds[-1])
+    contexts = run_repeats(dataclasses.replace(
+        scenario, federation=federation, eval_round=rounds[-1], ablation=None, downstream=()
     ))
     methods = tuple(m for m in scenario.methods if m != "SV")
     _tabulate_references(contexts, methods, rounds)

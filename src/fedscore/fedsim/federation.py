@@ -73,10 +73,6 @@ UTILITY_KINDS = ("accuracy", "neg_loss")
 # stacks of 8, 16 and 32.
 _TABULATION_CHUNK = {"accuracy": 64, "neg_loss": 8}
 
-# Most masks folded at once by a request other than the whole game: 2 MB
-# of models at the bundled sizes, however many masks the request holds.
-_FOLD_SLICE = 256
-
 
 class FederationError(ValueError):
     """Invalid federation configuration or transcript."""
@@ -278,9 +274,13 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
     accuracy it first settles the test samples that an interval bound over
     all 2^N coalition models decides (:meth:`ModelEvaluator.round_screen`),
     and the chunks evaluate only the samples left open; each coalition
-    still counts once.  Any other request folds its models at once, in
-    slices of at most _FOLD_SLICE masks (:func:`_coalition_models`), and
-    evaluates them one ``ModelEvaluator.__call__`` each.
+    still counts once.  Any other request builds its models one at a
+    time, in request order: a copy of m0 adds its members' updates in
+    ascending order, in place, and is evaluated by one
+    ``ModelEvaluator.__call__`` before the next mask's model is built, so
+    a request holds one model however many masks it names.  The model's
+    ``ModelParams`` check is its one finite scan: a non-finite model is
+    refused by its coalition after the masks before it were evaluated.
     """
 
     def utilities(masks):
@@ -291,10 +291,17 @@ def round_oracle(transcript: RoundTranscript, evaluator: ModelEvaluator) -> Coal
         # One ModelEvaluator.__call__ per model: the benchmark's tracer
         # (perfbench/tracing.py) counts those calls to audit the 2N+2
         # probe set, so a request other than the whole game is not stacked.
-        for lo in range(0, len(masks), _FOLD_SLICE):
-            part = masks[lo : lo + _FOLD_SLICE]
-            yield from _evaluate_chunks(evaluator, part, _coalition_models(transcript, part),
-                                        stacked=False)
+        for mask in masks:
+            members = coalition_members(mask)
+            model = transcript.m0.values.copy()
+            for i in members:
+                model += transcript.updates[i]
+            try:
+                params = ModelParams(model)
+            except ModelError:
+                raise ModelError(f"model of coalition {members} contains "
+                                 "non-finite values") from None
+            yield [evaluator(params)]
 
     return CoalitionOracle(transcript.n_clients, utilities, evaluator)
 
@@ -322,48 +329,23 @@ def _coalition_table(transcript: RoundTranscript) -> np.ndarray:
     return table
 
 
-def _coalition_models(transcript: RoundTranscript, masks: Sequence[int]) -> np.ndarray:
-    """The models of the coalitions in ``masks``, any masks in any order,
-    as one (len(masks), n_params) array, row k = masks[k].
-
-    Every row starts at m0; then, client by client in ascending order,
-    the rows whose mask holds client j add U_j.  So each row takes its
-    members in ascending order: the left fold of :func:`_coalition_table`,
-    bit for bit.
-    """
-    n = transcript.n_clients
-    width = (n + 7) // 8
-    packed = b"".join(int(mask).to_bytes(width, "little") for mask in masks)
-    held = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(masks), width),
-                         axis=1, count=n, bitorder="little").view(bool)
-    models = np.tile(transcript.m0.values, (len(masks), 1))
-    for j, delta in enumerate(transcript.updates):
-        models[held[:, j]] += delta
-    return models
-
-
 def _evaluate_chunks(
     evaluator: ModelEvaluator, masks: Sequence[int], models: np.ndarray, coalitions=None,
-    stacked: bool = True,
 ):
-    """Yield the utilities of the coalition models in the rows of
-    ``models``, in row order; ``masks`` names each row's coalition.  The
-    rows are checked finite once: those before the first non-finite one
-    are evaluated, and then its coalition is refused by name, as the
-    per-coalition game meets them.  Stacked, the rows are evaluated in
-    stacks of contiguous rows (_TABULATION_CHUNK), and ``coalitions``, a
-    round game's :meth:`ModelEvaluator.round_screen`, goes to every stack,
-    which then screens only the test samples it left open.  Otherwise
-    each row is one ``evaluator(ModelParams(row))``, yielded alone."""
+    """Yield the utilities of the coalition models in the rows of a
+    stack, ``models`` (a round game's coalition table, or a retraining
+    game's final models), in row order; ``masks`` names each row's
+    coalition.  The rows are checked finite once: those before the first
+    non-finite one are evaluated in stacks of contiguous rows
+    (_TABULATION_CHUNK), and then its coalition is refused by name, as
+    the per-coalition game meets them.  ``coalitions``, a round game's
+    :meth:`ModelEvaluator.round_screen`, goes to every stack, which then
+    screens only the test samples it left open."""
     finite = np.isfinite(models).all(axis=1)
     stop = len(models) if finite.all() else int(np.argmin(finite))
-    if stacked:
-        chunk = _TABULATION_CHUNK[evaluator.utility_kind]
-        for lo in range(0, stop, chunk):
-            yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)], coalitions)
-    else:
-        for row in models[:stop]:
-            yield [evaluator(ModelParams(row))]
+    chunk = _TABULATION_CHUNK[evaluator.utility_kind]
+    for lo in range(0, stop, chunk):
+        yield evaluator.evaluate_stack(models[lo : min(lo + chunk, stop)], coalitions)
     _check_models(masks[stop:], models[stop:])
 
 

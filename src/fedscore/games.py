@@ -362,7 +362,7 @@ def load_table_game(path) -> TableGame:
     """Read a game from text: the client count, then one '<bitmask>
     <utility>' line per coalition, in any order; '#' starts a comment.
     A fault is refused as a GameError that names the path, and the line
-    where one is at fault."""
+    where one is at fault; each entry is checked once, on its line."""
     entries: dict[int, float] = {}
     n_clients = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -399,7 +399,11 @@ def load_table_game(path) -> TableGame:
                 raise GameError(f"{path}:{lineno}: {exc}") from None
     if n_clients is None:
         raise GameError(f"{path}: empty game file")
-    try:
-        return TableGame.from_values(n_clients, entries)
-    except GameError as exc:  # a coalition no line gives
-        raise GameError(f"{path}: {exc}") from None
+    # Every entry is checked, in range and distinct, so NaN marks exactly
+    # the coalitions that no line gives.
+    table = np.full(2**n_clients, np.nan)
+    table[list(entries)] = list(entries.values())
+    if len(entries) < len(table):
+        raise GameError(f"{path}: missing utility for coalition mask "
+                        f"{int(np.argmax(np.isnan(table)))}")
+    return TableGame(n_clients, table)

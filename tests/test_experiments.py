@@ -598,6 +598,17 @@ class TestMisbehavior:
             assert 0.0 <= rate <= 1.0
         assert len(result["misbehavior_per_seed"]) == sc.repeats * len(methods)
 
+    def test_trains_through_its_eval_round_only(self, monkeypatch):
+        # The tiny federation runs 2 rounds; the block reads round 1 only.
+        sc = tiny_scenario("\n[downstream.misbehavior]\nattacker = 0\nrate = 1.0\n"
+                           "eval_round = 1\n")
+        trained = []
+        train = fedsim.federation.sgd_train_rows
+        monkeypatch.setattr(fedsim.federation, "sgd_train_rows",
+                            lambda *args, **kw: trained.append(1) or train(*args, **kw))
+        misbehavior(sc, *sc.downstream)
+        assert len(trained) == sc.downstream[0].eval_round == 1
+
 
 class TestInfluenceAndManipulationSummaries:
     def test_influence_summary(self):

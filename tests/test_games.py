@@ -21,6 +21,7 @@ from fedscore import (
     scoring,
     shapley_exact,
 )
+from fedscore import games as games_module
 from fedscore.games import coalition_members
 
 from helpers import (
@@ -327,6 +328,17 @@ class TestGameFiles:
         )
         game = load_table_game(path)
         assert game.table[0b1] == 2.5
+
+    def test_each_entry_is_checked_once(self, tmp_path, monkeypatch):
+        game = worked_game()
+        path = tmp_path / "worked.game"
+        write_table_game(game, path)
+        seen = []
+        check = games_module._table_entry
+        monkeypatch.setattr(games_module, "_table_entry",
+                            lambda n, mask, value: seen.append(mask) or check(n, mask, value))
+        assert np.array_equal(load_table_game(path).table, game.table)
+        assert sorted(seen) == list(range(8))
 
     def test_duplicate_mask_rejected(self, tmp_path):
         path = tmp_path / "dup.game"

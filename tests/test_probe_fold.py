@@ -1,12 +1,13 @@
-"""A round game's request other than the whole game: one fold per slice.
+"""A round game's request other than the whole game: one model per mask.
 
-``round_oracle`` builds the models of such a request all at once
-(``federation._coalition_models``): every row starts at m0, and client by
-client in ascending order the rows holding that client add its update.
-The reference kept here is the fold from before: each coalition model
-built alone, members in ascending order.  Every model and utility must
-match it on the uint64 view, and the request must still make exactly one
-``ModelEvaluator.__call__`` per mask, audited in request order.
+``round_oracle`` builds the model of each mask of such a request alone,
+in request order: a copy of m0 adds its members' updates in ascending
+order, in place, and is evaluated before the next mask's model is built.
+The reference kept here builds each coalition model alone by the same
+ascending fold, out of place.  Every model and utility must match it on
+the uint64 view, the request must make exactly one
+``ModelEvaluator.__call__`` per mask, audited in request order, and a
+non-finite model is refused after exactly the masks before it.
 """
 
 import numpy as np
@@ -25,7 +26,6 @@ from fedscore.fedsim import (
     init_params,
     round_oracle,
 )
-from fedscore.fedsim.federation import _FOLD_SLICE
 from fedscore.games import coalition_members
 
 KINDS = ("accuracy", "neg_loss")
@@ -100,12 +100,21 @@ def test_one_client_probe_set_repeats_its_masks(kind, calls):
 
 
 def test_a_request_longer_than_a_slice_folds_across_slices(calls):
-    masks = [(7 * k) % 64 for k in range(2 * _FOLD_SLICE + 3)]
+    masks = [(7 * k) % 64 for k in range(515)]
     check_request(make_transcript(6), "neg_loss", masks, calls)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("masks", [
+    pytest.param(range(3, 11), id="range-not-the-whole-game"),
+    pytest.param(np.array([5, 0, 15, 8, 5, 14]), id="numpy-integers"),
+])
+def test_a_request_of_another_shape_builds_each_model(kind, masks, calls):
+    check_request(make_transcript(4), kind, masks, calls)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("k", [0, 3, _FOLD_SLICE + 2])
+@pytest.mark.parametrize("k", [0, 3, 258])
 def test_an_overflowing_model_is_refused_after_the_models_before_it(k, calls):
     # Each update is finite and so is the aggregate, but the coalition
     # {0, 2} sums +1e308 twice in the last output bias and overflows.

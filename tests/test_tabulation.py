@@ -147,7 +147,7 @@ def test_probe_set_of_the_tabulated_game_is_the_transcript_probe_set(kind):
         assert np.array_equal(bits(getattr(got, field)), bits(getattr(want, field)))
 
 
-def test_coalition_models_are_the_ascending_left_fold():
+def test_coalition_table_is_the_ascending_left_fold():
     (t,) = make_transcripts(5)
     table = _coalition_table(t)
     assert table.shape == (2**5, ARCH.n_params) and table.flags.c_contiguous
